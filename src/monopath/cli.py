@@ -14,7 +14,7 @@ import json
 import sys
 from dataclasses import dataclass, field
 
-from .budget import BudgetExceeded, default_budget
+from .budget import DEFAULT_BUDGET, ENV_BUDGET, BudgetExceeded, default_budget
 from .bounds import render_rows, run_inequality_suite
 from .colorings import (
     EdgeColoring,
@@ -90,16 +90,16 @@ def _cmd_count(cfg: RunConfig) -> int:
     elif kind == "dedekind":
         if p.get("d") is None:
             raise ValueError("count --kind dedekind needs --d")
-        v = dedekind(p["d"])
+        v = dedekind(p["d"], budget=cfg.budget)
         _print_json({"kind": kind, "d": p["d"], "value": str(v)})
     elif kind == "rank-profile":
         if p.get("n") is None:
             raise ValueError("count --kind rank-profile needs --n")
         if p.get("d") is not None:
-            prof = s_profile(p["n"], p["d"])
+            prof = s_profile(p["n"], p["d"], budget=cfg.budget)
             head = {"kind": kind, "graded": f"[{p['n']}]^{p['d']} by coordinate sum"}
         else:
-            prof = lnn_rank_sizes(p["n"])
+            prof = lnn_rank_sizes(p["n"], budget=cfg.budget)
             head = {"kind": kind, "graded": f"line partitions in the {p['n']}-box by area"}
         if cfg.fmt == "table":
             print(f"# {head['graded']}")
@@ -129,7 +129,8 @@ def _cmd_formula(cfg: RunConfig) -> int:
     elif kind == "macmahon":
         if p.get("n") is None:
             raise ValueError("formula --kind macmahon needs --n")
-        _print_json({"kind": kind, "n": p["n"], "value": str(macmahon(p["n"]))})
+        v = macmahon(p["n"], budget=cfg.budget)
+        _print_json({"kind": kind, "n": p["n"], "value": str(v)})
     elif kind == "rectangular":
         a, b, c = p.get("a"), p.get("b"), p.get("c")
         if a is None or b is None:
@@ -137,7 +138,8 @@ def _cmd_formula(cfg: RunConfig) -> int:
         if c is None:
             _print_json({"kind": kind, "a": a, "b": b, "value": str(p1_rect(a, b))})
         else:
-            _print_json({"kind": kind, "a": a, "b": b, "c": c, "value": str(macmahon_rect(a, b, c))})
+            v = macmahon_rect(a, b, c, budget=cfg.budget)
+            _print_json({"kind": kind, "a": a, "b": b, "c": c, "value": str(v)})
     else:
         raise ValueError(f"unknown formula kind {kind!r}")
     return 0
@@ -285,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Monotone-path Ramsey numbers and high-dimensional partition counting.",
     )
     ap.add_argument("--budget", type=int, default=None,
-                    help="work-unit budget (default: MONOPATH_BUDGET or 10^7)")
+                    help=f"work-unit budget (default: {ENV_BUDGET} or {DEFAULT_BUDGET})")
     ap.add_argument("--seed", type=int, default=DEFAULT_SEED,
                     help="seed for randomized constructions")
     ap.add_argument("--format", choices=("json", "table"), default="json",

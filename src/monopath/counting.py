@@ -10,10 +10,16 @@ along every axis.  Two closed forms are classical:
 For arbitrary d the count is computed by a frontier dynamic program that
 scans the cells of the index box in lexicographic order and memoizes on the
 sliding window of the last prod(shape[1:]) entries; every monotonicity
-constraint looks back at most that far.  Tiny boxes retain brute-force
-subset scans as independent oracles, and antichains are counted by a third
-route (independent sets of the comparability graph) so that the down-set /
-antichain bijection can be double checked at scale.
+constraint looks back at most that far.  The window is packed into one int,
+a fixed number of bits per entry, so reading a neighbour and sliding the
+window are shifts and masks.  Its work units are one per transition plus the
+window size per new state, billed in bulk per batch of states, and a budget
+miss raises at the same unit count as billing every unit on its own would.
+
+Tiny boxes retain brute-force subset scans as independent oracles, and
+antichains are counted by a third route (independent sets of the
+comparability graph) so that the down-set / antichain bijection can be
+double checked at scale.
 
 Also here: the rank statistic S_n(k, d) counting compositions of k into d
 parts from 1..n, rank sizes of the lattice of length-n decreasing sequences
@@ -25,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from math import comb, prod
 
 from .budget import WorkMeter, meter
@@ -48,12 +54,17 @@ def p1_rect(a: int, b: int) -> int:
     return comb(a + b, a)
 
 
-def macmahon_rect(a: int, b: int, c: int) -> int:
-    """MacMahon's box product: plane partitions inside an a x b x c box."""
+def macmahon_rect(a: int, b: int, c: int, *, budget: int | None = None) -> int:
+    """MacMahon's box product: plane partitions inside an a x b x c box.
+
+    Units: one per factor, charged once per value of i.
+    """
     if min(a, b, c) < 0:
         raise ValueError("sides must be >= 0")
+    wm = meter(budget, f"MacMahon product for the {a} x {b} x {c} box")
     value = Fraction(1)
     for i in range(1, a + 1):
+        wm.charge(b * c)
         for j in range(1, b + 1):
             for k in range(1, c + 1):
                 value *= Fraction(i + j + k - 1, i + j + k - 2)
@@ -62,9 +73,9 @@ def macmahon_rect(a: int, b: int, c: int) -> int:
     return value.numerator
 
 
-def macmahon(n: int) -> int:
+def macmahon(n: int, *, budget: int | None = None) -> int:
     """Plane partitions inside the n x n x n box."""
-    return macmahon_rect(n, n, n)
+    return macmahon_rect(n, n, n, budget=budget)
 
 
 # --- frontier dynamic program -------------------------------------------------
@@ -75,9 +86,19 @@ def count_box_partitions(
 ) -> int:
     """Arrays over ``shape`` with entries 0..bound, weakly decreasing per axis.
 
-    Cells are scanned in lexicographic index order; the DP state is the
+    Cells are scanned in lexicographic index order.  The DP state is the
     window of the last prod(shape[1:]) values, which contains every cell a
-    monotonicity constraint can reference.  Work is metered per transition.
+    monotonicity constraint can reference, packed into one int at
+    ``max(1, bound.bit_length())`` bits per value with the newest value in
+    the low bits; a neighbour ``off`` cells back is one shift and mask away.
+
+    Units: one per transition, plus the window size for every new state (new
+    states dominate memory, so the budget bounds the frontier, not just the
+    time).  They are billed in bulk, for a batch of states that together
+    cannot reach the limit.  Once fewer units are left than one state can
+    bill, each state is billed unit by unit through the meter, so a miss
+    raises at exactly the unit count, and with the message, of a charge per
+    transition.
     """
     if bound < 0:
         raise ValueError("bound must be >= 0")
@@ -89,30 +110,55 @@ def count_box_partitions(
         return bound + 1
     strides = [prod(shape[t + 1 :]) for t in range(m)]
     window = strides[0]
-    states: dict[tuple[int, ...], int] = {(): 1}
-    for cell in product(*(range(s) for s in shape)):
-        offsets = [strides[t] for t in range(m) if cell[t] > 0]
-        nxt: dict[tuple[int, ...], int] = {}
-        for win, cnt in states.items():
-            filled = len(win)
-            cap = bound
-            for off in offsets:
-                v = win[filled - off]
-                if v < cap:
-                    cap = v
-            for v in range(cap + 1):
+    bits = max(1, bound.bit_length())
+    mask = (1 << bits) - 1
+    full = -1  # no value drops out of the window until it has filled
+    per_state = (bound + 1) * (window + 1)  # the most units one state bills
+    used = wm.used
+    states: dict[int, int] = {0: 1}
+    for index, cell in enumerate(product(*(range(s) for s in shape))):
+        if index == window:
+            full = (1 << (bits * window)) - 1
+        shifts = [(strides[t] - 1) * bits for t in range(m) if cell[t] > 0]
+        nxt: dict[int, int] = {}
+        get = nxt.get
+        items = iter(states.items())
+        left = len(states)
+        while left:
+            room = max(0, (wm.limit - used) // per_state)
+            batch = min(room, left) or 1
+            left -= batch
+            size = len(nxt)
+            extra = 0
+            for win, cnt in islice(items, batch):
+                cap = bound
+                for sh in shifts:
+                    v = (win >> sh) & mask
+                    if v < cap:
+                        cap = v
+                extra += cap
+                # most states make one to three transitions, and a while
+                # loop is cheaper for them than building a range per state
+                nw = (win << bits) & full
+                top = nw + cap
+                while nw <= top:
+                    nxt[nw] = get(nw, 0) + cnt
+                    nw += 1
+            fresh = len(nxt) - size
+            if room:
+                used += batch + extra + window * fresh
+                continue
+            # this one state may cross the limit: bill its transitions in
+            # order, each new state right after the transition that made it
+            new = set(islice(reversed(nxt), fresh))
+            wm.used = used
+            for nw in range(top - cap, top + 1):
                 wm.charge()
-                nw = win + (v,)
-                if len(nw) > window:
-                    nw = nw[1:]
-                if nw in nxt:
-                    nxt[nw] += cnt
-                else:
-                    # new states dominate memory; bill their window size so
-                    # the budget bounds the frontier, not just the time
+                if nw in new:
                     wm.charge(window)
-                    nxt[nw] = cnt
+            used = wm.used
         states = nxt
+    wm.used = used
     return sum(states.values())
 
 
@@ -356,12 +402,17 @@ class RankProfile:
         return self.sizes == self.sizes[::-1]
 
 
-def s_profile(n: int, d: int) -> RankProfile:
-    """Counts of d-tuples from 1..n by coordinate sum (ranks d..dn)."""
+def s_profile(n: int, d: int, *, budget: int | None = None) -> RankProfile:
+    """Counts of d-tuples from 1..n by coordinate sum (ranks d..dn).
+
+    Units: one per (partial sum, next value) pair, charged once per coordinate.
+    """
     if n < 1 or d < 1:
         raise ValueError("need n >= 1 and d >= 1")
+    wm = meter(budget, f"rank profile of [{n}]^{d} by coordinate sum")
     ways = [1]
     for _ in range(d):
+        wm.charge(len(ways) * n)
         nxt = [0] * (len(ways) + n)
         for total, cnt in enumerate(ways):
             if cnt:
@@ -387,21 +438,24 @@ def middle_max(n: int, d: int) -> tuple[int, int]:
     return k_star, best
 
 
-def lnn_rank_sizes(n: int) -> RankProfile:
+def lnn_rank_sizes(n: int, *, budget: int | None = None) -> RankProfile:
     """Rank sizes of the lattice of decreasing sequences in the n x n box.
 
     Sequences A_1 >= ... >= A_n with entries 0..n, ranked by sum of entries;
     the generating polynomial is the Gaussian binomial C(2n, n)_q, computed
     by the q-Pascal recurrence.  Enumeration on small n is kept as a test
-    oracle.
+    oracle.  Units: one per coefficient built, charged once per row m.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
+    wm = meter(budget, f"rank sizes of line partitions in the {n}-box")
     # row[r] = coefficient list of C(m, r)_q, built up in m
     row: list[list[int]] = [[1]]
     for m in range(1, 2 * n + 1):
         nxt: list[list[int]] = [[1]]
         top = min(m, n)
+        # C(m, r)_q has degree r * (m - r)
+        wm.charge(sum(r * (m - r) + 1 for r in range(1, top + 1)))
         for r in range(1, top + 1):
             left = row[r - 1] if r - 1 < len(row) else None
             right = row[r] if r < len(row) else None

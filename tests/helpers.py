@@ -2,12 +2,15 @@
 
 Everything here scans a full search space: subsets for down-set counts,
 value assignments for box partitions, vertex sequences for monotone paths.
-Tiny instances only.
+Tiny instances only.  The one exception is ``tuple_box_partitions``, the
+frontier DP with a tuple window and a charge per unit, kept as the metering
+reference for the packed-window DP in :mod:`monopath.counting`.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, product
+from math import prod
 
 
 def brute_box_partitions(shape: tuple[int, ...], bound: int) -> int:
@@ -29,6 +32,42 @@ def brute_box_partitions(shape: tuple[int, ...], bound: int) -> int:
         if ok:
             count += 1
     return count
+
+
+def tuple_box_partitions(shape: tuple[int, ...], bound: int, wm) -> int:
+    """The frontier DP over tuple windows, charging ``wm`` unit by unit.
+
+    Same cell order, state order and units as ``count_box_partitions``: one
+    per transition, plus the window size for every new state.
+    """
+    m = len(shape)
+    if m == 0:
+        return bound + 1
+    strides = [prod(shape[t + 1 :]) for t in range(m)]
+    window = strides[0]
+    states: dict[tuple[int, ...], int] = {(): 1}
+    for cell in product(*(range(s) for s in shape)):
+        offsets = [strides[t] for t in range(m) if cell[t] > 0]
+        nxt: dict[tuple[int, ...], int] = {}
+        for win, cnt in states.items():
+            filled = len(win)
+            cap = bound
+            for off in offsets:
+                v = win[filled - off]
+                if v < cap:
+                    cap = v
+            for v in range(cap + 1):
+                wm.charge()
+                nw = win + (v,)
+                if len(nw) > window:
+                    nw = nw[1:]
+                if nw in nxt:
+                    nxt[nw] += cnt
+                else:
+                    wm.charge(window)
+                    nxt[nw] = cnt
+        states = nxt
+    return sum(states.values())
 
 
 def brute_ideal_masks(pred_masks: list[int]) -> list[int]:

@@ -191,6 +191,21 @@ def test_exit_code_3_on_budget(capsys):
     assert out.out == "" or "budget" in out.out.lower()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "count --kind dedekind --d 5",
+        "count --kind rank-profile --n 400",
+        "count --kind rank-profile --n 40 --d 40",
+        "formula --kind macmahon --n 50",
+        "formula --kind rectangular --a 10 --b 100 --c 100",
+    ],
+)
+def test_budget_reaches_every_count(capsys, argv):
+    assert main(argv.split() + ["--budget", "1000"]) == 3
+    assert "budget" in capsys.readouterr().err
+
+
 def test_big_values_are_decimal_strings(capsys):
     code, doc = run_json(capsys, "count", "--kind", "dedekind", "--d", "6")
     assert code == 0

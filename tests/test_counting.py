@@ -26,7 +26,7 @@ from monopath.counting import (
     s_profile,
 )
 from monopath.grid import GridBox
-from helpers import brute_box_partitions, brute_ideal_masks
+from helpers import brute_box_partitions, brute_ideal_masks, tuple_box_partitions
 
 # --- closed forms ---------------------------------------------------------
 
@@ -119,6 +119,45 @@ def test_dedekind_numbers():
 def test_box_partitions_budget():
     with pytest.raises(BudgetExceeded):
         count_box_partitions((4, 4, 4), 4, budget=1000)
+
+
+def _metered(run, limit, used=0):
+    """(outcome, value or message, units used) of run(meter) under ``limit``."""
+    wm = WorkMeter(limit, "shared", used)
+    try:
+        return "ok", run(wm), wm.used
+    except BudgetExceeded as exc:
+        return "miss", str(exc), wm.used
+
+
+@pytest.mark.parametrize(
+    "shape", [(), (1,), (3,), (5,), (2, 2), (3, 2), (1, 4), (3, 3), (2, 2, 2), (3, 1, 2)]
+)
+def test_packed_dp_meters_like_tuple_reference(shape):
+    # the packed window charges in bulk; value, units and the exact point of
+    # a miss must match the per-unit tuple-window DP
+    for bound in range(5):
+        def packed(wm):
+            return count_box_partitions(shape, bound, budget=wm)
+
+        def reference(wm):
+            return tuple_box_partitions(shape, bound, wm)
+
+        total = _metered(reference, 10**12)[2]
+        limits = {total - 1, total, total + 1, *range(0, total, max(1, total // 25))}
+        for limit in sorted(limits):
+            assert _metered(packed, limit) == _metered(reference, limit), (bound, limit)
+        # a pooled meter that arrives part-spent
+        assert _metered(packed, total, 7) == _metered(reference, total, 7)
+
+
+def test_packed_dp_huge_window_misses_cheaply():
+    # a window of 2^58 cells is never filled or masked: the first new state
+    # already bills more than the budget
+    shape = (2,) * 59
+    got = _metered(lambda wm: count_box_partitions(shape, 2, budget=wm), 1000)
+    assert got == _metered(lambda wm: tuple_box_partitions(shape, 2, wm), 1000)
+    assert got[0] == "miss"
 
 
 # --- order ideals of arbitrary posets ---------------------------------------
@@ -226,6 +265,21 @@ def test_lnn_total_and_symmetry(n):
     assert prof.is_symmetric()
     assert len(prof.sizes) == n * n + 1
     assert lnn_max(n) == prof.max_size
+
+
+def test_metered_rank_statistics_fit_their_units():
+    # units are charged before a row's work, one per term the row builds
+    wm = WorkMeter(10**6)
+    assert s_profile(3, 2, budget=wm).sizes == (1, 2, 3, 2, 1)
+    # partial sums 0..0, then 0..3, each meeting 3 next values
+    assert wm.used == 1 * 3 + 4 * 3
+    wm = WorkMeter(10**6)
+    assert macmahon_rect(2, 3, 4, budget=wm) == macmahon_rect(4, 2, 3)
+    assert wm.used == 2 * 3 * 4
+    wm = WorkMeter(10**6)
+    assert lnn_rank_sizes(2, budget=wm).sizes == (1, 1, 2, 1, 1)
+    # rows m = 1..4 build C(m, r)_q for r = 1..min(m, 2)
+    assert wm.used == 1 + (2 + 1) + (3 + 3) + (4 + 5)
 
 
 @pytest.mark.parametrize("n", range(1, 5))
