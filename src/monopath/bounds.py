@@ -335,13 +335,16 @@ def run_inequality_suite(
     def rho(k: int, d: int, n: int) -> int:
         return _pooled(("rho", k, d, n), count_rho, k, d, n)
 
+    def mid(n: int, d: int) -> int:
+        return _pooled(("M", n, d), middle_max, n, d)[1]
+
     rows: list[dict] = []
 
     # middle layer of [n]^d: M >= (2/3) n^(d-1)/sqrt(d), squared to integers
     stmt_m = "max_k S_n(k,d) >= (2/3) n^(d-1)/sqrt(d)"
     for d in range(2, d_max + 1):
         for n in range(1, n_max + 1):
-            _, m_val = middle_max(n, d)
+            m_val = mid(n, d)
             ok = 9 * d * m_val * m_val >= 4 * n ** (2 * d - 2)
             approx = (2 / 3) * n ** (d - 1) / d**0.5
             rows.append(
@@ -360,7 +363,7 @@ def run_inequality_suite(
     for d in range(2, d_max + 1):
         for n in range(1, n_max + 1):
             params = {"d": d, "n": n}
-            _, m_val = middle_max(n, d)
+            m_val = mid(n, d)
             try:
                 p = pc(d - 1, n)
             except BudgetExceeded:
@@ -596,7 +599,7 @@ def run_inequality_suite(
     # middle-layer constant: 2/3 proven, sqrt(6/pi) conjectured for large d
     stmt_c = "effective constant M sqrt(d)/n^(d-1) vs 2/3 and sqrt(6/pi)"
     for d in range(2, d_max + 1):
-        _, m_val = middle_max(n_max, d)
+        m_val = mid(n_max, d)
         c_eff = m_val * d**0.5 / n_max ** (d - 1)
         rows.append(
             _row(

@@ -37,7 +37,7 @@ from .counting import (
     s_profile,
 )
 from .grid import GridBox
-from .paths import injectivity_certificate, longest_mono
+from .paths import injectivity_certificate
 from .search import RamseyResult, SearchBudget, exact_ramsey
 
 DEFAULT_SEED = 1729
@@ -125,7 +125,8 @@ def _cmd_formula(cfg: RunConfig) -> int:
     if kind == "p1":
         if p.get("n") is None:
             raise ValueError("formula --kind p1 needs --n")
-        _print_json({"kind": kind, "n": p["n"], "value": str(p1_closed(p["n"]))})
+        v = p1_closed(p["n"], budget=cfg.budget)
+        _print_json({"kind": kind, "n": p["n"], "value": str(v)})
     elif kind == "macmahon":
         if p.get("n") is None:
             raise ValueError("formula --kind macmahon needs --n")
@@ -136,7 +137,8 @@ def _cmd_formula(cfg: RunConfig) -> int:
         if a is None or b is None:
             raise ValueError("formula --kind rectangular needs --a and --b (and --c for boxes)")
         if c is None:
-            _print_json({"kind": kind, "a": a, "b": b, "value": str(p1_rect(a, b))})
+            v = p1_rect(a, b, budget=cfg.budget)
+            _print_json({"kind": kind, "a": a, "b": b, "value": str(v)})
         else:
             v = macmahon_rect(a, b, c, budget=cfg.budget)
             _print_json({"kind": kind, "a": a, "b": b, "c": c, "value": str(v)})
@@ -151,7 +153,7 @@ def _cmd_construct(cfg: RunConfig) -> int:
     if family == "graph":
         if p.get("q") is None or p.get("n") is None:
             raise ValueError("construct --family graph needs --q and --n")
-        col = color_graph_lower(p["q"], p["n"])
+        col = color_graph_lower(p["q"], p["n"], budget=cfg.budget)
     elif family == "3uniform":
         if p.get("q") is None:
             raise ValueError("construct --family 3uniform needs --q")
@@ -169,7 +171,7 @@ def _cmd_construct(cfg: RunConfig) -> int:
     elif family == "random":
         if any(p.get(x) is None for x in ("k", "q", "N")):
             raise ValueError("construct --family random needs --k, --q and --N")
-        col = random_coloring(p["k"], p["q"], p["N"], cfg.seed)
+        col = random_coloring(p["k"], p["q"], p["N"], cfg.seed, budget=cfg.budget)
     else:
         raise ValueError(f"unknown construct family {family!r}")
     out = cfg.paths["out"]
@@ -187,8 +189,8 @@ def _cmd_verify(cfg: RunConfig) -> int:
         raise ValueError("verify needs --n (the forbidden path length)")
     n = p["n"]
     col = EdgeColoring.load(cfg.paths["file"])
-    scan = longest_mono(col, want_witnesses=True, budget=cfg.budget)
     cert = injectivity_certificate(col, n, budget=cfg.budget)
+    scan = cert.scan
     report = {
         "n": n,
         "k": col.k,

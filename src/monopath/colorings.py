@@ -144,10 +144,14 @@ class EdgeColoring:
 # --- the extremal constructions ------------------------------------------------
 
 
-def color_graph_lower(q: int, n: int) -> EdgeColoring:
-    """The first-rising-coordinate coloring of the complete graph on [n]^q."""
+def color_graph_lower(q: int, n: int, *, budget: int | None = None) -> EdgeColoring:
+    """The first-rising-coordinate coloring of the complete graph on [n]^q.
+
+    Units: one per edge, charged before the build.
+    """
     if q < 1 or n < 1:
         raise ValueError("need q >= 1 and n >= 1")
+    meter(budget, f"graph coloring over [{n}]^{q}").charge(comb(n**q, 2))
     verts = sorted(product(range(1, n + 1), repeat=q))
     big = len(verts)
     colors = array("B")
@@ -329,12 +333,18 @@ def color_kuniform_lower(
     )
 
 
-def random_coloring(k: int, q: int, n_vertices: int, seed: int) -> EdgeColoring:
-    """A uniformly random q-coloring of all k-subsets, reproducible from seed."""
+def random_coloring(
+    k: int, q: int, n_vertices: int, seed: int, *, budget: int | None = None
+) -> EdgeColoring:
+    """A uniformly random q-coloring of all k-subsets, reproducible from seed.
+
+    Units: one per edge, charged before the build.
+    """
     if k < 1 or q < 1 or n_vertices < 0:
         raise ValueError("need k >= 1, q >= 1, N >= 0")
-    rng = random.Random(seed)
     edges = comb(n_vertices, k)
+    meter(budget, f"random coloring of {edges} edges").charge(edges)
+    rng = random.Random(seed)
     colors = array("B", (rng.randint(1, q) for _ in range(edges)))
     return EdgeColoring(
         k=k,

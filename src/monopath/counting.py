@@ -40,17 +40,25 @@ from .grid import GridBox, dominates
 # --- closed forms -------------------------------------------------------------
 
 
-def p1_closed(n: int) -> int:
-    """Down-sets of [n]^2: the central binomial coefficient C(2n, n)."""
+def p1_closed(n: int, *, budget: int | None = None) -> int:
+    """Down-sets of [n]^2: the central binomial coefficient C(2n, n).
+
+    Units: one per factor of the product C(2n, n) = prod_i (n+i)/i.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
-    return comb(2 * n, n)
+    return p1_rect(n, n, budget=budget)
 
 
-def p1_rect(a: int, b: int) -> int:
-    """Weakly decreasing sequences of length a with entries 0..b: C(a+b, a)."""
+def p1_rect(a: int, b: int, *, budget: int | None = None) -> int:
+    """Weakly decreasing sequences of length a with entries 0..b: C(a+b, a).
+
+    Units: one per factor of the shorter product C(a+b, min(a, b)), charged
+    before the product is taken.
+    """
     if a < 0 or b < 0:
         raise ValueError("sides must be >= 0")
+    meter(budget, f"binomial C({a + b}, {a})").charge(min(a, b))
     return comb(a + b, a)
 
 
@@ -430,9 +438,12 @@ def s_count(n: int, d: int, k: int) -> int:
     return profile.sizes[k - d]
 
 
-def middle_max(n: int, d: int) -> tuple[int, int]:
-    """(k*, M): the smallest rank attaining the largest count S_n(k, d)."""
-    profile = s_profile(n, d)
+def middle_max(n: int, d: int, *, budget: int | None = None) -> tuple[int, int]:
+    """(k*, M): the smallest rank attaining the largest count S_n(k, d).
+
+    Units: those of ``s_profile``.
+    """
+    profile = s_profile(n, d, budget=budget)
     best = max(profile.sizes)
     k_star = profile.start + profile.sizes.index(best)
     return k_star, best

@@ -8,11 +8,14 @@ the longest color-c path ending with window w satisfies
     L_c(w) = max over color-c edges {t} u w, t < min(w), of 1 + L_c(front)
 
 and processing edges in colex order makes every front value final before it
-is read.  A mirrored sweep in reverse colex order yields R_c(w), the
-longest color-c path starting with window w, which drives witness
-reconstruction: growing the vertex sequence from the front and always
-taking the smallest feasible next vertex returns the lexicographically
-smallest maximum-length witness.
+is read.  Each sweep keeps one flat list per color, indexed by window rank,
+and walks the colex window index of :mod:`monopath.subsets`: per window, the
+colors of its incoming edges and the values of their front windows are two
+runs of consecutive ranks, so the same loop serves every k.  A mirrored
+sweep in reverse colex order yields R_c(w), the longest color-c path
+starting with window w, which drives witness reconstruction: growing the
+vertex sequence from the front and always taking the smallest feasible next
+vertex returns the lexicographically smallest maximum-length witness.
 
 On top of the DP sit the certificate maps.  The label vector of a window is
 C(w) = (1 + L_1(w), ..., 1 + L_q(w)); when no color reaches length n these
@@ -28,13 +31,13 @@ extraction walk turns it into a path longer than the DP's own maximum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
 
 from .budget import meter
 from .colorings import EdgeColoring
-from .subsets import colex_rank
+from .subsets import colex_rank, colex_windows, subsets_colex
 from .universes import Universe, build_universe
 
 
@@ -82,129 +85,50 @@ class PathScan:
         return max(self.per_color_max.values())
 
 
-def _forward_tables(coloring: EdgeColoring, wm, want_pred: bool):
-    """L_c per window, edges swept in colex order.  Dicts default to 0."""
-    q = coloring.q
-    vals: list[dict] = [{} for _ in range(q + 1)]
-    preds: list[dict] | None = [{} for _ in range(q + 1)] if want_pred else None
-    wm.charge(coloring.num_edges)
-    for edge, c in coloring.edges():
-        front, back = edge[:-1], edge[1:]
-        v = vals[c]
-        cand = v.get(front, 0) + 1
-        if cand > v.get(back, 0):
-            v[back] = cand
-            if want_pred:
-                preds[c][back] = front
-    return vals, preds
+def _sweep(coloring: EdgeColoring, windows, wm, reverse: bool) -> list:
+    """L_c (forward) or R_c (reverse) per window rank, one flat list per color.
 
-
-def _reverse_tables(coloring: EdgeColoring, wm):
-    """R_c per window, edges swept in reverse colex order."""
-    q = coloring.q
-    vals: list[dict] = [{} for _ in range(q + 1)]
-    wm.charge(coloring.num_edges)
-    for edge, c in reversed(list(coloring.edges())):
-        front, back = edge[:-1], edge[1:]
-        v = vals[c]
-        cand = v.get(back, 0) + 1
-        if cand > v.get(front, 0):
-            v[front] = cand
-    return vals
-
-
-def _k3_sweeps(coloring: EdgeColoring, wm, want_reverse: bool):
-    """Flat-array L (and optionally R) tables for the k = 3 hot path."""
-    big, q = coloring.N, coloring.q
-    t2 = [v * (v - 1) // 2 for v in range(big + 1)]
-    nwin = t2[big] if big else 0
+    The forward sweep takes the edges in colex order, so every front value
+    is final before it is read; the reverse sweep takes them backwards, so
+    every back value is.  One unit per edge.
+    """
     colors = coloring.colors
-    wm.charge(len(colors) * (2 if want_reverse else 1))
-    fwd = [None] + [[0] * nwin for _ in range(q)]
-    pos = 0
-    for c in range(big):
-        t2c = t2[c]
-        for b in range(c):
-            wback = t2c + b
-            t2b = t2[b]
-            for a in range(b):
-                col = colors[pos]
-                pos += 1
-                v = fwd[col]
-                cand = v[t2b + a] + 1
-                if cand > v[wback]:
-                    v[wback] = cand
-    rev = None
-    if want_reverse:
-        rev = [None] + [[0] * nwin for _ in range(q)]
-        pos = len(colors) - 1
-        for c in reversed(range(big)):
-            t2c = t2[c]
-            for b in reversed(range(c)):
-                wback = t2c + b
-                t2b = t2[b]
-                for a in reversed(range(b)):
-                    col = colors[pos]
-                    pos -= 1
-                    v = rev[col]
-                    cand = v[wback] + 1
-                    wf = t2b + a
-                    if cand > v[wf]:
-                        v[wf] = cand
-    return t2, fwd, rev
+    wm.charge(len(colors))
+    tabs = [None] + [[0] * len(windows) for _ in range(coloring.q)]
+    if not reverse:
+        for w, (e0, f0, m) in enumerate(windows):
+            for c, f in zip(colors[e0 : e0 + m], range(f0, f0 + m)):
+                tab = tabs[c]
+                cand = tab[f] + 1
+                if cand > tab[w]:
+                    tab[w] = cand
+    else:
+        for w in range(len(windows) - 1, -1, -1):
+            e0, f0, m = windows[w]
+            for c, f in zip(colors[e0 : e0 + m], range(f0, f0 + m)):
+                tab = tabs[c]
+                cand = tab[w] + 1
+                if cand > tab[f]:
+                    tab[f] = cand
+    return tabs
 
 
-def _lexmin_witness_k3(coloring, color, lmax, t2, rvals, wm) -> MonotonePath:
-    big = coloring.N
-    t3 = [v * (v - 1) * (v - 2) // 6 for v in range(big)]
-    colors = coloring.colors
-    start = None
-    for a in range(big):
-        for b in range(a + 1, big):
-            if rvals[t2[b] + a] == lmax:
-                start = (a, b)
-                break
-        if start:
-            break
-    if start is None:
-        raise AssertionError("reverse DP lost its maximum")
-    a, b = start
-    verts = [a, b]
-    need = lmax
-    while need > 0:
-        for v in range(b + 1, big):
-            wm.charge()
-            if colors[t3[v] + t2[b] + a] == color and rvals[t2[v] + b] == need - 1:
-                verts.append(v)
-                a, b = b, v
-                need -= 1
-                break
-        else:
-            raise AssertionError("reverse DP admits no continuation")
-    return MonotonePath(k=3, color=color, vertices=tuple(verts))
-
-
-def _lexmin_witness(coloring, color, lmax, rvals: dict, wm) -> MonotonePath:
+def _lexmin_witness(coloring, color, lmax, rtab: list, wm) -> MonotonePath:
+    """Grow the lex-least path of length lmax from the reverse table R_color."""
     k, big = coloring.k, coloring.N
     colors = coloring.colors
-    start = min(w for w, val in rvals.items() if val == lmax)
-    verts = list(start)
-    w = start
-    need = lmax
-    while need > 0:
+    w = min(t for t, val in zip(subsets_colex(big, k - 1), rtab) if val == lmax)
+    verts = list(w)
+    for need in range(lmax - 1, -1, -1):
         for v in range(w[-1] + 1, big):
             wm.charge()
             back = w[1:] + (v,)
-            if (
-                colors[colex_rank(w + (v,))] == color
-                and rvals.get(back, 0) == need - 1
-            ):
-                verts.append(v)
-                w = back
-                need -= 1
+            if colors[colex_rank(w + (v,))] == color and rtab[colex_rank(back)] == need:
                 break
         else:
             raise AssertionError("reverse DP admits no continuation")
+        verts.append(v)
+        w = back
     return MonotonePath(k=k, color=color, vertices=tuple(verts))
 
 
@@ -220,28 +144,15 @@ def longest_mono(
         raise ValueError("paths need k >= 2")
     q = coloring.q
     wm = meter(budget, f"path DP on {coloring.num_edges} edges")
-    if coloring.k == 3:
-        t2, fwd, rev = _k3_sweeps(coloring, wm, want_reverse=want_witnesses)
-        maxima = {c: (max(fwd[c]) if fwd[c] else 0) for c in range(1, q + 1)}
-        if not want_witnesses:
-            return PathScan(per_color_max=maxima)
-        wits = {
-            c: (
-                _lexmin_witness_k3(coloring, c, maxima[c], t2, rev[c], wm)
-                if maxima[c] > 0
-                else None
-            )
-            for c in range(1, q + 1)
-        }
-        return PathScan(per_color_max=maxima, witnesses=wits)
-    fvals, _ = _forward_tables(coloring, wm, want_pred=False)
-    maxima = {c: max(fvals[c].values(), default=0) for c in range(1, q + 1)}
+    windows = colex_windows(coloring.N, coloring.k)
+    fwd = _sweep(coloring, windows, wm, reverse=False)
+    maxima = {c: max(fwd[c], default=0) for c in range(1, q + 1)}
     if not want_witnesses:
         return PathScan(per_color_max=maxima)
-    rvals = _reverse_tables(coloring, wm)
+    rev = _sweep(coloring, windows, wm, reverse=True)
     wits = {
         c: (
-            _lexmin_witness(coloring, c, maxima[c], rvals[c], wm)
+            _lexmin_witness(coloring, c, maxima[c], rev[c], wm)
             if maxima[c] > 0
             else None
         )
@@ -253,23 +164,16 @@ def longest_mono(
 def label_vectors(
     coloring: EdgeColoring, *, budget: int | None = None
 ) -> dict[tuple[int, ...], tuple[int, ...]]:
-    """C(w) = (1 + L_1(w), ..., 1 + L_q(w)) for every (k-1)-tuple w."""
+    """C(w) = (1 + L_1(w), ..., 1 + L_q(w)) for every (k-1)-tuple w, in colex order."""
     if coloring.k < 2:
         raise ValueError("label vectors need k >= 2")
     k, q, big = coloring.k, coloring.q, coloring.N
     wm = meter(budget, f"label vectors on {coloring.num_edges} edges")
     wm.charge(comb(big, k - 1))
-    if k == 3:
-        t2, fwd, _ = _k3_sweeps(coloring, wm, want_reverse=False)
-        return {
-            (a, b): tuple(fwd[c][t2[b] + a] + 1 for c in range(1, q + 1))
-            for b in range(big)
-            for a in range(b)
-        }
-    fvals, _ = _forward_tables(coloring, wm, want_pred=False)
+    fwd = _sweep(coloring, colex_windows(big, k), wm, reverse=False)
     return {
-        w: tuple(fvals[c].get(w, 0) + 1 for c in range(1, q + 1))
-        for w in combinations(range(big), k - 1)
+        w: tuple(fwd[c][i] + 1 for c in range(1, q + 1))
+        for i, w in enumerate(subsets_colex(big, k - 1))
     }
 
 
@@ -349,11 +253,14 @@ class Certificate:
     labels are pairwise distinct, certifying N <= (universe size).  status
     "collision" cannot occur for a correct DP; it carries the colliding
     vertex pair plus a path exceeding the DP's own maximum as evidence.
+    ``scan`` holds the longest_mono result, with witnesses, that decided the
+    outcome.
     """
 
     status: str
     path: MonotonePath | None = None
     collision: tuple[int, int] | None = None
+    scan: PathScan | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.status not in ("path", "distinct", "collision"):
@@ -388,15 +295,19 @@ def _extract_collision_path(
             raise AssertionError("label collision walk found no containment step")
         t = (found,) + t
     col = coloring.color_of(t)
-    fvals, preds = _forward_tables(
-        coloring, meter(budget, "collision path rebuild"), want_pred=True
-    )
-    w = t[:-1]
-    seq = list(w)
-    length = fvals[col].get(w, 0)
-    for _ in range(length):
-        w = preds[col][w]
-        seq.insert(0, w[0])
+    windows = colex_windows(coloring.N, k)
+    wm = meter(budget, "collision path rebuild")
+    ltab = _sweep(coloring, windows, wm, reverse=False)[col]
+    colors = coloring.colors
+    seq = list(t[:-1])
+    rank = colex_rank(t[:-1])
+    # step back to the first front, by its new vertex a, one shorter in color col
+    while ltab[rank]:
+        e0, f0, m = windows[rank]
+        want = ltab[rank] - 1
+        a = next(a for a in range(m) if colors[e0 + a] == col and ltab[f0 + a] == want)
+        seq.insert(0, a)
+        rank = f0 + a
     seq.append(t[-1])
     return MonotonePath(k=k, color=col, vertices=tuple(seq))
 
@@ -415,13 +326,15 @@ def injectivity_certificate(
     scan = longest_mono(coloring, want_witnesses=True, budget=budget)
     for c in sorted(scan.per_color_max):
         if scan.per_color_max[c] >= n:
-            return Certificate(status="path", path=scan.witnesses[c])
+            return Certificate(status="path", path=scan.witnesses[c], scan=scan)
     levels = _label_levels(coloring, n, 1, budget)
     seen: dict = {}
     for v in range(coloring.N):
         lab = levels[1][(v,)]
         if lab in seen:
             path = _extract_collision_path(coloring, levels, seen[lab], v, budget)
-            return Certificate(status="collision", path=path, collision=(seen[lab], v))
+            return Certificate(
+                status="collision", path=path, collision=(seen[lab], v), scan=scan
+            )
         seen[lab] = v
-    return Certificate(status="distinct")
+    return Certificate(status="distinct", scan=scan)

@@ -18,23 +18,26 @@ to color 1 (colors are interchangeable):
   an edge relaxes one window value, which is undone on backtrack, and any
   relaxation reaching n prunes the branch.
 
+Both walk the colex window index of :mod:`monopath.subsets` for edge and
+window ranks, and both keep the DFS state in lists rather than on the call
+stack, so a search one level deep per edge is not bounded by the recursion
+limit.
+
 This is deliberately an oracle for the closed formulas, not a competitive
 solver; hopeless parameter ranges are out of scope.
 """
 
 from __future__ import annotations
 
-import sys
 import time
 from array import array
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
 
 from .budget import default_budget
 from .colorings import EdgeColoring
 from .paths import longest_mono
-from .subsets import colex_rank, subsets_colex
+from .subsets import colex_windows
 
 
 @dataclass(frozen=True)
@@ -97,18 +100,26 @@ class _Meter:
                 raise _SearchStop
 
 
+def _front_ranks(windows) -> list[int]:
+    """Front-window rank of every edge, in colex edge order."""
+    return [f0 + a for _, f0, m in windows for a in range(m)]
+
+
 def _engine_disequality(big: int, k: int, q: int, mt: _Meter) -> array | None:
     """SAT search for n = 2: one != constraint per (k+1)-subset of vertices."""
     num_edges = comb(big, k)
     colors = [0] * num_edges
     if num_edges == 0:
         return array("B")
+    windows = colex_windows(big, k)
+    # the (k+1)-subsets pair each edge j with the edges whose back window is
+    # the front window of j
     adj: list[list[int]] = [[] for _ in range(num_edges)]
-    for tup in combinations(range(big), k + 1):
-        i = colex_rank(tup[:k])
-        j = colex_rank(tup[1:])
-        adj[i].append(j)
-        adj[j].append(i)
+    for j, f in enumerate(_front_ranks(windows)):
+        e0, _, m = windows[f]
+        for i in range(e0, e0 + m):
+            adj[i].append(j)
+            adj[j].append(i)
     full = (1 << q) - 1
     domains = [full] * num_edges
     trail: list[tuple] = []
@@ -152,66 +163,75 @@ def _engine_disequality(big: int, k: int, q: int, mt: _Meter) -> array | None:
             else:
                 colors[v] = 0
 
-    def dfs(pos: int) -> bool:
-        while pos < num_edges and colors[pos]:
-            pos += 1
-        if pos == num_edges:
-            return True
-        choices = (1,) if pos == 0 else range(1, q + 1)
-        for c in choices:
-            if not domains[pos] & (1 << (c - 1)):
-                continue
-            mt.tick()
-            mark = len(trail)
-            if propagate(pos, c) and dfs(pos + 1):
-                return True
+    # DFS over the first unassigned edge; ``decisions`` holds the open
+    # choices as (edge, color, trail mark)
+    decisions: list[tuple[int, int, int]] = []
+    pos, c = 0, 1
+    while True:
+        top = 1 if pos == 0 else q
+        while c <= top:
+            if domains[pos] & (1 << (c - 1)):
+                mt.tick()
+                mark = len(trail)
+                if propagate(pos, c):
+                    break
+                undo(mark)
+            c += 1
+        if c <= top:
+            decisions.append((pos, c, mark))
+            while pos < num_edges and colors[pos]:
+                pos += 1
+            if pos == num_edges:
+                return array("B", colors)
+            c = 1
+        elif decisions:
+            pos, c, mark = decisions.pop()
             undo(mark)
-        return False
-
-    return array("B", colors) if dfs(0) else None
+            c += 1
+        else:
+            return None
 
 
 def _engine_dp(big: int, k: int, q: int, n: int, mt: _Meter) -> array | None:
     """SAT search for general n via DFS with an incremental path DP."""
-    edges = list(subsets_colex(big, k))
-    num_edges = len(edges)
+    num_edges = comb(big, k)
     if num_edges == 0:
         return array("B")
-    fronts = [e[:-1] for e in edges]
-    backs = [e[1:] for e in edges]
+    windows = colex_windows(big, k)
+    front_rank = _front_ranks(windows)
+    back_rank = [w for w, (_, _, m) in enumerate(windows) for _ in range(m)]
+    tables = [None] + [[0] * len(windows) for _ in range(q)]
     colors = [0] * num_edges
-    tables: list[dict] = [{} for _ in range(q + 1)]
-
-    def dfs(pos: int) -> bool:
-        if pos == num_edges:
-            return True
-        front, back = fronts[pos], backs[pos]
-        choices = (1,) if pos == 0 else range(1, q + 1)
-        for c in choices:
+    # the value of each edge's back window before the edge was colored
+    saved = [0] * num_edges
+    # edges below pos are colored; c is the next color to try at pos
+    pos, c = 0, 1
+    while True:
+        top = 1 if pos == 0 else q
+        while c <= top:
             mt.tick()
             tab = tables[c]
-            cand = tab.get(front, 0) + 1
-            if cand >= n:
-                continue
+            cand = tab[front_rank[pos]] + 1
+            if cand < n:
+                break
+            c += 1
+        if c <= top:
             colors[pos] = c
-            old = tab.get(back, 0)
-            bumped = cand > old
-            if bumped:
+            back = back_rank[pos]
+            saved[pos] = tab[back]
+            if cand > tab[back]:
                 tab[back] = cand
-            if dfs(pos + 1):
-                return True
-            if bumped:
-                tab[back] = old
-            colors[pos] = 0
-        return False
-
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 4 * num_edges + 100))
-    try:
-        found = dfs(0)
-    finally:
-        sys.setrecursionlimit(old_limit)
-    return array("B", colors) if found else None
+            pos += 1
+            if pos == num_edges:
+                return array("B", colors)
+            c = 1
+        elif pos:
+            pos -= 1
+            c = colors[pos]
+            tables[c][back_rank[pos]] = saved[pos]
+            c += 1
+        else:
+            return None
 
 
 def _level_sat(big: int, k: int, q: int, n: int, mt: _Meter) -> EdgeColoring | None:

@@ -2,15 +2,17 @@
 
 Everything here scans a full search space: subsets for down-set counts,
 value assignments for box partitions, vertex sequences for monotone paths.
-Tiny instances only.  The one exception is ``tuple_box_partitions``, the
-frontier DP with a tuple window and a charge per unit, kept as the metering
-reference for the packed-window DP in :mod:`monopath.counting`.
+Tiny instances only.  Two exceptions are kept as metering references:
+``tuple_box_partitions``, the frontier DP with a tuple window and a charge
+per unit, for the packed-window DP in :mod:`monopath.counting`, and
+``dict_longest_mono``, the path DP over dicts keyed by window tuples, for
+the flat window-rank sweeps in :mod:`monopath.paths`.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, product
-from math import prod
+from math import comb, prod
 
 
 def brute_box_partitions(shape: tuple[int, ...], bound: int) -> int:
@@ -132,3 +134,100 @@ def brute_witness(coloring, color: int, length: int) -> tuple[int, ...] | None:
             if got is not None:
                 return got
     return None
+
+
+def _dict_forward(coloring, wm):
+    """L_c per window tuple, edges swept in colex order.  Dicts default to 0."""
+    vals: list[dict] = [{} for _ in range(coloring.q + 1)]
+    wm.charge(coloring.num_edges)
+    for edge, c in coloring.edges():
+        front, back = edge[:-1], edge[1:]
+        v = vals[c]
+        cand = v.get(front, 0) + 1
+        if cand > v.get(back, 0):
+            v[back] = cand
+    return vals
+
+
+def _dict_reverse(coloring, wm):
+    """R_c per window tuple, edges swept in reverse colex order."""
+    vals: list[dict] = [{} for _ in range(coloring.q + 1)]
+    wm.charge(coloring.num_edges)
+    for edge, c in reversed(list(coloring.edges())):
+        front, back = edge[:-1], edge[1:]
+        v = vals[c]
+        cand = v.get(back, 0) + 1
+        if cand > v.get(front, 0):
+            v[front] = cand
+    return vals
+
+
+def _dict_witness(coloring, color, lmax, rvals: dict, wm) -> tuple[int, ...]:
+    start = min(w for w, val in rvals.items() if val == lmax)
+    verts = list(start)
+    w = start
+    need = lmax
+    while need > 0:
+        for v in range(w[-1] + 1, coloring.N):
+            wm.charge()
+            back = w[1:] + (v,)
+            if coloring.color_of(w + (v,)) == color and rvals.get(back, 0) == need - 1:
+                verts.append(v)
+                w = back
+                need -= 1
+                break
+        else:
+            raise AssertionError("reverse DP admits no continuation")
+    return tuple(verts)
+
+
+def dict_longest_mono(coloring, wm, want_witnesses: bool = True):
+    """(maxima, witness vertex tuples or None) by the dict-of-tuples path DP.
+
+    Same units as ``longest_mono``: one per edge per sweep, one per witness
+    probe.
+    """
+    q = coloring.q
+    fvals = _dict_forward(coloring, wm)
+    maxima = {c: max(fvals[c].values(), default=0) for c in range(1, q + 1)}
+    if not want_witnesses:
+        return maxima, None
+    rvals = _dict_reverse(coloring, wm)
+    wits = {
+        c: _dict_witness(coloring, c, maxima[c], rvals[c], wm) if maxima[c] > 0 else None
+        for c in range(1, q + 1)
+    }
+    return maxima, wits
+
+
+def dict_label_vectors(coloring, wm) -> dict:
+    """C(w) for every window tuple, with the units of ``label_vectors``."""
+    k, q, big = coloring.k, coloring.q, coloring.N
+    wm.charge(comb(big, k - 1))
+    fvals = _dict_forward(coloring, wm)
+    return {
+        w: tuple(fvals[c].get(w, 0) + 1 for c in range(1, q + 1))
+        for w in combinations(range(big), k - 1)
+    }
+
+
+def dict_pred_path(coloring, t: tuple[int, ...]) -> tuple[int, ...]:
+    """The longest path in t's color ending with edge t, rebuilt from a
+    predecessor dict that keeps the front of the first strict improvement."""
+    vals: dict = {}
+    preds: dict = {}
+    col = coloring.color_of(t)
+    for edge, c in coloring.edges():
+        if c != col:
+            continue
+        front, back = edge[:-1], edge[1:]
+        cand = vals.get(front, 0) + 1
+        if cand > vals.get(back, 0):
+            vals[back] = cand
+            preds[back] = front
+    w = t[:-1]
+    seq = list(w)
+    for _ in range(vals.get(w, 0)):
+        w = preds[w]
+        seq.insert(0, w[0])
+    return tuple(seq) + (t[-1],)

@@ -131,6 +131,13 @@ def test_search_exact(tmp_path, capsys):
     assert code == 0 and rep["certificate"] == "distinct"
 
 
+def test_search_deeper_than_recursion_limit(capsys):
+    code, doc = run_json(capsys, "search", "--k", "7", "--q", "2", "--n", "2")
+    assert code == 0
+    assert doc["status"] == "exact"
+    assert doc["value"] == 15
+
+
 def test_search_capped_and_starved(capsys):
     code, doc = run_json(capsys, "search", "--k", "3", "--q", "2", "--n", "2",
                          "--max-N", "5")
@@ -199,9 +206,15 @@ def test_exit_code_3_on_budget(capsys):
         "count --kind rank-profile --n 40 --d 40",
         "formula --kind macmahon --n 50",
         "formula --kind rectangular --a 10 --b 100 --c 100",
+        "formula --kind p1 --n 1000000",
+        "formula --kind rectangular --a 1000000 --b 1000000",
+        "construct --family random --k 3 --q 2 --N 3000",
+        "construct --family graph --q 6 --n 6",
+        "bounds --d-max 3 --n-max 300 --k-max 2",
     ],
 )
-def test_budget_reaches_every_count(capsys, argv):
+def test_budget_reaches_every_count(capsys, argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     assert main(argv.split() + ["--budget", "1000"]) == 3
     assert "budget" in capsys.readouterr().err
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monopath.budget import BudgetExceeded
+from monopath.budget import BudgetExceeded, WorkMeter
 from monopath.colorings import (
     EdgeColoring,
     color_3uniform_lower,
@@ -16,13 +16,20 @@ from monopath.paths import (
     Certificate,
     LabelEscape,
     MonotonePath,
+    _extract_collision_path,
     downset_labels,
     injectivity_certificate,
     label_vectors,
     longest_mono,
     validate_path,
 )
-from helpers import brute_longest, brute_witness
+from helpers import (
+    brute_longest,
+    brute_witness,
+    dict_label_vectors,
+    dict_longest_mono,
+    dict_pred_path,
+)
 
 
 def test_path_type_validation():
@@ -101,6 +108,89 @@ def test_empty_coloring_scans_to_zero():
 def test_longest_budget():
     with pytest.raises(BudgetExceeded):
         longest_mono(color_3uniform_lower(2, 3), budget=50)
+
+
+# --- flat sweeps against the dict-of-tuples reference ----------------------------
+
+
+def _reference_cases():
+    cases = [
+        (f"random-k{k}-q{q}-N{big}", lambda k=k, q=q, big=big: random_coloring(
+            k, q, big, seed=100 * k + 10 * q + big))
+        for k in range(2, 6)
+        for q in (1, 2, 3)
+        for big in sorted({0, k - 2, k - 1, k, k + 1, k + 4})
+    ]
+    cases += [
+        ("graph-q2-n3", lambda: color_graph_lower(2, 3)),
+        ("graph-q3-n2", lambda: color_graph_lower(3, 2)),
+        ("3uniform-q2-n3", lambda: color_3uniform_lower(2, 3)),
+        ("3uniform-q3-n2", lambda: color_3uniform_lower(3, 2)),
+        ("3uniform-bounds-2-4", lambda: color_3uniform_lower(2, bounds=(2, 4))),
+        ("kuniform-k4-n2", lambda: color_kuniform_lower(4, 2)),
+        ("kuniform-k5-n2", lambda: color_kuniform_lower(5, 2)),
+    ]
+    return [pytest.param(make, id=name) for name, make in cases]
+
+
+def _witness_vertices(scan):
+    return {c: (w.vertices if w is not None else None) for c, w in scan.witnesses.items()}
+
+
+@pytest.mark.parametrize("make", _reference_cases())
+def test_sweeps_match_dict_reference(make):
+    col = make()
+    for want in (True, False):
+        wm, ref_wm = WorkMeter(10**9), WorkMeter(10**9)
+        scan = longest_mono(col, want_witnesses=want, budget=wm)
+        maxima, wits = dict_longest_mono(col, ref_wm, want_witnesses=want)
+        assert scan.per_color_max == maxima
+        assert wm.used == ref_wm.used
+        if want:
+            assert _witness_vertices(scan) == wits
+    wm, ref_wm = WorkMeter(10**9), WorkMeter(10**9)
+    assert label_vectors(col, budget=wm) == dict_label_vectors(col, ref_wm)
+    assert wm.used == ref_wm.used
+
+
+@pytest.mark.parametrize("make", _reference_cases())
+def test_sweep_budget_miss_at_reference_units(make):
+    col = make()
+    total = WorkMeter(10**9)
+    longest_mono(col, budget=total)
+    for limit in sorted({0, 1, col.num_edges - 1, col.num_edges, total.used // 2,
+                         total.used - 2, total.used - 1}):
+        if not 0 <= limit < total.used:
+            continue
+        wm, ref_wm = WorkMeter(limit), WorkMeter(limit)
+        with pytest.raises(BudgetExceeded):
+            longest_mono(col, budget=wm)
+        with pytest.raises(BudgetExceeded):
+            dict_longest_mono(col, ref_wm)
+        assert wm.used == ref_wm.used
+
+
+@pytest.mark.parametrize("k,q,N,seed", [(2, 2, 9, 1), (2, 3, 10, 2), (3, 2, 8, 3)])
+def test_collision_walk_rebuilds_first_predecessor_path(k, q, N, seed):
+    # a walk that ends on the k-tuple (u, v) [k = 2] or (x0, u, v) [k = 3],
+    # the latter forced by labels that contain nothing but the chosen step
+    col = random_coloring(k, q, N, seed=seed)
+    for u, v in combinations(range(N), 2):
+        levels = None
+        t = (u, v)
+        if k == 3:
+            if u == 0:
+                continue
+            x0 = (u + v) % u
+            grid = {w: (0,) * q for w in combinations(range(N), 2)}
+            grid[(u, v)] = (1,) * q
+            grid[(x0, u)] = (2,) * q
+            levels = {2: grid}
+            t = (x0, u, v)
+        path = _extract_collision_path(col, levels, u, v, None)
+        assert path.vertices == dict_pred_path(col, t)
+        assert path.color == col.color_of(t)
+        assert validate_path(col, path)
 
 
 # --- extremal colorings meet their bound exactly --------------------------------
@@ -193,9 +283,11 @@ def test_downset_labels_escape():
 
 
 def test_certificate_distinct_on_extremal():
-    cert = injectivity_certificate(color_3uniform_lower(2, 3), 3)
+    col = color_3uniform_lower(2, 3)
+    cert = injectivity_certificate(col, 3)
     assert cert.status == "distinct"
     assert cert.path is None and cert.collision is None
+    assert cert.scan == longest_mono(col)
 
 
 def test_certificate_path_when_crowded():
@@ -205,6 +297,7 @@ def test_certificate_path_when_crowded():
     assert cert.status == "path"
     assert cert.path.length >= 2
     assert validate_path(col, cert.path)
+    assert cert.scan == longest_mono(col)
 
 
 @given(st.integers(min_value=0, max_value=10_000))

@@ -21,6 +21,7 @@ def test_budget_validation():
     (3, 1, 2, 4),  # one color, k vertices per edge: n + k - 1 vertices force length n
     (4, 2, 2, 9),
     (5, 2, 2, 11),
+    (7, 2, 2, 15),  # 3432 edges: deeper than the default recursion limit
 ])
 def test_exact_small_numbers(k, q, n, value):
     res = exact_ramsey(k, q, n)
@@ -34,6 +35,29 @@ def test_exact_graph_n3():
     res = exact_ramsey(2, 2, 3, budget=SearchBudget(max_nodes=10_000_000))
     assert res.status == "exact"
     assert res.value == 10
+    assert res.nodes == 3455112
+    assert _digits(res.extremal) == "111222122111211222222122122111211211"
+
+
+def _digits(col: EdgeColoring) -> str:
+    return "".join(map(str, col.colors))
+
+
+# pinned traces: the DFS visits choices in a fixed order, so node counts, lower
+# bounds and extremal colorings must not move when the engines change
+@pytest.mark.parametrize("k,q,n,cap,status,nodes,lower,colors", [
+    (3, 2, 2, None, "exact", 16, 7, "12221221111121111212"),
+    (4, 2, 2, None, "exact", 51, 9,
+     "1222212221111111122111111122111222211121111111121111222112121122212121"),
+    (3, 2, 3, 60_000, "budget_exhausted", 60_001, 8, "11111111121111121222111112112211221"),
+    (2, 2, 4, 60_000, "budget_exhausted", 60_001, 12,
+     "1111111112112221112212222222122222211122222111112212111"),
+])
+def test_search_trace_is_pinned(k, q, n, cap, status, nodes, lower, colors):
+    budget = SearchBudget(max_nodes=cap) if cap else None
+    res = exact_ramsey(k, q, n, budget=budget)
+    assert (res.status, res.nodes, res.lower_bound) == (status, nodes, lower)
+    assert _digits(res.extremal) == colors
 
 
 def test_extremal_is_a_real_coloring():

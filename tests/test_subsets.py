@@ -4,7 +4,7 @@ from math import comb
 from hypothesis import given
 from hypothesis import strategies as st
 
-from monopath.subsets import binom_table, colex_rank, subsets_colex
+from monopath.subsets import colex_rank, colex_windows, subsets_colex
 
 
 def test_colex_rank_small():
@@ -32,8 +32,14 @@ def test_colex_primary_key_is_last_vertex():
     assert lasts == sorted(lasts)
 
 
-def test_binom_table():
-    table = binom_table(8, 3)
-    for v in range(9):
-        for i in range(4):
-            assert table[v][i] == comb(v, i)
+@given(st.integers(min_value=0, max_value=10), st.integers(min_value=2, max_value=6))
+def test_colex_windows_match_ranks(n, k):
+    index = colex_windows(n, k)
+    windows = list(subsets_colex(n, k - 1))
+    assert len(index) == len(windows)
+    for (edge0, front0, m), b in zip(index, windows):
+        assert m == b[0]
+        for a in range(m):
+            assert colex_rank((a,) + b) == edge0 + a
+            assert colex_rank((a,) + b[:-1]) == front0 + a
+    assert sum(m for _, _, m in index) == comb(n, k)
