@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isqrt, log2
 
-from .budget import BudgetExceeded, WorkMeter, default_budget
+from .budget import MEMO, BudgetExceeded, WorkMeter, default_budget
 from .counting import count_box_partitions, count_rho, middle_max
 
 _MAX_BITS = 1 << 23  # materialization guard for exact powers of two
@@ -189,9 +189,19 @@ class _Unbounded(Exception):
     """An interval endpoint left the materialization guard."""
 
 
-def _isqrt_chain(x: int, s: int) -> int:
-    for _ in range(s):
-        x = isqrt(x)
+def _pow2_root(p: int, s: int) -> int:
+    """s nested integer square roots of 2^p, kept in the process-wide memo.
+
+    The interval endpoints below spend nearly all their time here, on p of
+    about t * 2^s bits, while the root has only about t bits to keep.
+    """
+    key = ("pow2_root", p, s)
+    x = MEMO.get(key)
+    if x is None:
+        x = 1 << p
+        for _ in range(s):
+            x = isqrt(x)
+        MEMO.put(key, x)
     return x
 
 
@@ -207,7 +217,7 @@ def _pow2_lower(e: Fraction, s: int, t: int) -> Fraction:
         raise _Unbounded
     f = e - m
     u = (f.numerator << s) // f.denominator
-    r = _isqrt_chain(1 << (u + (t << s)), s)
+    r = _pow2_root(u + (t << s), s)
     return Fraction(r << m, 1 << t) if m >= 0 else Fraction(r, 1 << (t - m))
 
 
@@ -223,7 +233,7 @@ def _pow2_upper(e: Fraction, s: int, t: int) -> Fraction:
         raise _Unbounded
     f = e - m
     u = -((-f.numerator << s) // f.denominator)
-    r = _isqrt_chain(1 << (u + (t << s)), s)
+    r = _pow2_root(u + (t << s), s)
     hi = Fraction(r + 1, 1 << t)
     return hi * (1 << m) if m >= 0 else hi / (1 << -m)
 
@@ -302,6 +312,14 @@ def run_inequality_suite(
     The budget is pooled over the whole run, no single count may take more
     than an eighth of it, and results (including budget misses) are cached so
     rows sharing a value never pay for it twice.
+
+    That per-run cache is an accounting rule: a value several rows share is
+    charged to the pot once per run, and every run starts with a full pot.
+    The process-wide memo of :mod:`monopath.budget` is a different thing:
+    the counts and the tower endpoints a run needs may come from it, but a
+    count from it charges its cell the units it took, and a miss replays only
+    for the room it missed in, so every run of the same suite charges the
+    pot the same units and returns the same rows.
     """
     total = default_budget() if budget is None else budget
     pot = WorkMeter(total, "inequality suite")

@@ -10,6 +10,7 @@ budget exhausted.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -283,7 +284,9 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared after that."""
     ap = argparse.ArgumentParser(
         prog="monopath",
         description="Monotone-path Ramsey numbers and high-dimensional partition counting.",

@@ -66,7 +66,7 @@ class EdgeColoring:
                 f"expected {expected} colors for N={self.N}, k={self.k}, "
                 f"got {len(self.colors)}"
             )
-        if any(not 1 <= c <= self.q for c in self.colors):
+        if self.colors and not 1 <= min(self.colors) <= max(self.colors) <= self.q:
             raise ValueError(f"colors must lie in 1..{self.q}")
 
     @property

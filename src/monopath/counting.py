@@ -34,7 +34,7 @@ from fractions import Fraction
 from itertools import islice, product
 from math import comb, prod
 
-from .budget import WorkMeter, meter
+from .budget import WorkMeter, memoized, meter
 from .grid import GridBox, dominates
 
 # --- closed forms -------------------------------------------------------------
@@ -107,15 +107,25 @@ def count_box_partitions(
     bill, each state is billed unit by unit through the meter, so a miss
     raises at exactly the unit count, and with the message, of a charge per
     transition.
+
+    Results, budget misses included, are kept in the process-wide memo of
+    :mod:`monopath.budget`, which replays their units on a repeat.
     """
     if bound < 0:
         raise ValueError("bound must be >= 0")
     if any(s < 1 for s in shape):
         raise ValueError(f"shape entries must be >= 1, got {shape}")
     wm = meter(budget, f"partition count in shape {shape} bound {bound}")
-    m = len(shape)
-    if m == 0:
+    if not shape:
         return bound + 1
+    shape = tuple(shape)
+    return memoized(("count_box_partitions", shape, bound), wm,
+                    lambda: _frontier_dp(shape, bound, wm))
+
+
+def _frontier_dp(shape: tuple[int, ...], bound: int, wm: WorkMeter) -> int:
+    """The kernel of ``count_box_partitions`` for a non-empty shape."""
+    m = len(shape)
     strides = [prod(shape[t + 1 :]) for t in range(m)]
     window = strides[0]
     bits = max(1, bound.bit_length())

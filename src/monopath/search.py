@@ -31,10 +31,11 @@ from __future__ import annotations
 
 import time
 from array import array
-from dataclasses import dataclass
+from copy import deepcopy
+from dataclasses import dataclass, replace
 from math import comb
 
-from .budget import default_budget
+from .budget import default_budget, recall, remember
 from .colorings import EdgeColoring
 from .paths import longest_mono
 from .subsets import colex_windows
@@ -267,13 +268,36 @@ def exact_ramsey(
     Levels N are processed upward from the largest trivially satisfiable
     one; the first refuted level is exact.  ``n_max`` caps the levels
     attempted (None: keep going until refutation or budget).
+
+    Without ``max_seconds`` the search is deterministic, and its results are
+    kept in the process-wide memo of :mod:`monopath.budget` with their node
+    counts as the cost: an exact or lower-bound result is replayed for any
+    ``max_nodes`` at least its node count, an exhausted one only for the same
+    ``max_nodes``.  A replayed result reports its own ``seconds`` and a fresh
+    copy of the extremal coloring.
     """
     if k < 2 or q < 1 or n < 1:
         raise ValueError("need k >= 2, q >= 1, n >= 1")
     if budget is None:
         budget = SearchBudget(max_nodes=default_budget())
-    mt = _Meter(budget)
     t0 = time.monotonic()
+    if budget.max_seconds is not None:
+        return replace(_search(k, q, n, n_max, budget), seconds=time.monotonic() - t0)
+    key = ("exact_ramsey", k, q, n, n_max)
+    hit = recall(key, budget.max_nodes)
+    if hit is None:
+        res = _search(k, q, n, n_max, budget)
+        remember(key, budget.max_nodes, res, res.nodes)
+    else:
+        res = hit[0]
+    return replace(res, extremal=deepcopy(res.extremal), seconds=time.monotonic() - t0)
+
+
+def _search(
+    k: int, q: int, n: int, n_max: int | None, budget: SearchBudget
+) -> RamseyResult:
+    """The level-by-level search of ``exact_ramsey``; ``seconds`` is left 0."""
+    mt = _Meter(budget)
     best: EdgeColoring | None = None
     start = n + k - 2
     level = start
@@ -287,7 +311,7 @@ def exact_ramsey(
                     lower_bound=level,
                     extremal=best,
                     nodes=mt.nodes,
-                    seconds=time.monotonic() - t0,
+                    seconds=0.0,
                 )
             best = found
             level += 1
@@ -297,7 +321,7 @@ def exact_ramsey(
             lower_bound=level,
             extremal=best,
             nodes=mt.nodes,
-            seconds=time.monotonic() - t0,
+            seconds=0.0,
         )
     except _SearchStop:
         return RamseyResult(
@@ -306,5 +330,5 @@ def exact_ramsey(
             lower_bound=level if best is not None else start,
             extremal=best,
             nodes=mt.nodes,
-            seconds=time.monotonic() - t0,
+            seconds=0.0,
         )

@@ -1,8 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
 
-from monopath.cli import main
+from monopath.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -224,3 +226,48 @@ def test_big_values_are_decimal_strings(capsys):
     assert code == 0
     assert doc["value"] == "7828354"
     assert isinstance(doc["value"], str)
+
+
+def _parse(parser, argv):
+    """(namespace or None, exit code or None, stderr) of one parse."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            return vars(parser.parse_args(argv)), None, err.getvalue()
+        except SystemExit as exc:
+            return None, exc.code, err.getvalue()
+
+
+def test_parser_is_built_once_and_parses_like_a_fresh_one():
+    assert build_parser() is build_parser()
+    argvs = [
+        "--budget 7 count --kind partitions --d 2 --n 3",
+        "count --kind partitions --d 2 --n 3 --budget 9",
+        "search --k 3 --q 2 --n 2 --max-nodes 40",
+        "--budget 5 --format table bounds --d-max 2 --budget 11",
+        "count --kind rho --k 4 --d 2 --n 2",
+        "formula --kind p1 --n 4 --format table --seed 3",
+        "--seed 8 construct --family random --k 3 --q 2 --N 7",
+        "verify --n 2",
+        "count --kind nonsense",
+        "--budget x count --kind dedekind --d 3",
+        "transitive --file c.json --budget 4",
+        "count --kind dedekind --d 3",
+    ]
+    # each argv twice, in order: what one parse sets must not leak into the next
+    for argv in argvs + argvs:
+        assert _parse(build_parser(), argv.split()) == _parse(
+            build_parser.__wrapped__(), argv.split()
+        ), argv
+
+
+@pytest.mark.parametrize("bad", [0, 3])
+def test_colors_out_of_range_exit_2(tmp_path, capsys, bad):
+    # q = 2 allows colors 1 and 2 only; 0 and q + 1 are rejected on load
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"k": 2, "q": 2, "N": 3, "encoding": "colex-rank-array",
+                                "colors": [1, bad, 2]}))
+    for argv in (["verify", "--file", str(path), "--n", "2"],
+                 ["transitive", "--file", str(path)]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: colors must lie in 1..2\n"

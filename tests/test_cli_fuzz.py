@@ -1,0 +1,132 @@
+"""Generated argv for every subcommand, run twice through ``cli.main``.
+
+Every run must end with an exit code in {0, 1, 2, 3} and raise nothing, and
+a repeat must print exactly what the first run printed: the process-wide
+memo may answer it, but never differently.  Budgets stay at or below 10^5
+units, so each run ends quickly.
+"""
+
+import contextlib
+import io
+import json
+from math import comb
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from monopath.cli import main
+
+# the values just below each range are invalid on purpose
+SMALL = st.integers(min_value=0, max_value=9)
+# placeholder for the example's temporary directory
+TMP = "<tmp>"
+FILES = [f"{TMP}/drawn.json", f"{TMP}/c.json", f"{TMP}/missing.json"]
+
+
+def _flag(name, values=SMALL):
+    """``name value`` four times in five, nothing otherwise."""
+    return st.tuples(st.integers(min_value=0, max_value=4), values).map(
+        lambda t: [name, str(t[1])] if t[0] else [])
+
+
+def _command(*parts):
+    return st.tuples(*parts).map(lambda ps: [a for p in ps for a in p])
+
+
+def _word(*words):
+    return st.sampled_from(words).map(lambda w: w.split())
+
+
+def _ints(lo, hi):
+    return st.integers(min_value=lo, max_value=hi)
+
+
+FORMAT = _flag("--format", st.sampled_from(["json", "table"]))
+BOUNDS_LIST = st.one_of(
+    st.lists(_ints(0, 4), min_size=1, max_size=4).map(lambda xs: ",".join(map(str, xs))),
+    st.just("x"),
+)
+
+COMMANDS = st.one_of(
+    _command(_word("count --kind partitions", "count --kind rho", "count --kind dedekind",
+                   "count --kind rank-profile"),
+             _flag("--d"), _flag("--n"), _flag("--k"), FORMAT),
+    _command(_word("formula --kind p1", "formula --kind macmahon",
+                   "formula --kind rectangular"),
+             _flag("--n"), _flag("--a"), _flag("--b"), _flag("--c")),
+    _command(_word("construct --family graph", "construct --family 3uniform",
+                   "construct --family kuniform", "construct --family random"),
+             _flag("--q", _ints(0, 4)), _flag("--n", _ints(0, 4)), _flag("--k", _ints(1, 5)),
+             _flag("--d", _ints(0, 3)), _flag("--N", _ints(-1, 12)),
+             _flag("--bounds", BOUNDS_LIST), _flag("--seed"),
+             st.just(["--out", f"{TMP}/c.json"])),
+    _command(st.just(["verify"]), st.sampled_from(FILES).map(lambda f: ["--file", f]),
+             _ints(0, 5).map(lambda n: ["--n", str(n)])),
+    _command(st.just(["transitive"]), st.sampled_from(FILES).map(lambda f: ["--file", f])),
+    _command(st.just(["search"]), _ints(2, 6).map(lambda k: ["--k", str(k)]),
+             _ints(1, 3).map(lambda q: ["--q", str(q)]),
+             _ints(1, 4).map(lambda n: ["--n", str(n)]),
+             _flag("--max-N", _ints(0, 12)), _flag("--max-nodes", _ints(0, 10**5)),
+             _flag("--max-seconds", st.sampled_from([0.0, 30.0, 30.0])),
+             _flag("--extremal-out", st.just(f"{TMP}/c.json"))),
+    _command(st.just(["bounds"]), _flag("--d-max", _ints(0, 4)),
+             _flag("--n-max", _ints(0, 4)), _flag("--k-max", _ints(0, 5)), FORMAT),
+)
+
+
+@st.composite
+def _coloring_doc(draw):
+    """A coloring object, valid or broken in one or more fields."""
+    k, q, n_verts = draw(_ints(1, 4)), draw(_ints(0, 3)), draw(_ints(0, 7))
+    colors = draw(st.lists(_ints(1, max(q, 1)), min_size=comb(n_verts, k),
+                           max_size=comb(n_verts, k)))
+    doc = {"k": k, "q": q, "N": n_verts, "encoding": "colex-rank-array", "colors": colors}
+    broken = draw(st.sampled_from([None, "k", "N", "encoding", "colors", "drop"]))
+    if broken == "colors":
+        doc["colors"] = draw(st.one_of(st.lists(_ints(-1, 300), max_size=40),
+                                       st.just(["1"]), st.just(7)))
+    elif broken == "drop":
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    elif broken is not None:
+        doc[broken] = draw(st.sampled_from(["two", -1, 9, "base64", None]))
+    return doc
+
+
+FILE_TEXT = st.one_of(
+    _coloring_doc().map(json.dumps),
+    st.sampled_from(["", "not json", "[]", "{}", "null", '{"k": 2']),
+)
+
+
+def _run(argv: list[str], search: bool) -> tuple:
+    """(exit code, stdout, stderr) of one ``main`` call; search drops ``seconds``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse rejects the argv
+            rc = exc.code
+    text = out.getvalue()
+    if search and text:
+        doc = json.loads(text)
+        doc.pop("seconds")
+        text = json.dumps(doc)
+    return rc, text, err.getvalue()
+
+
+# one budget in ten is 0, which the CLI rejects
+BUDGET = st.tuples(_ints(0, 9), _ints(1, 10**5)).map(lambda t: t[1] if t[0] else 0)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(command=COMMANDS, text=FILE_TEXT, budget=BUDGET, first=st.booleans())
+def test_cli_ends_cleanly_and_repeats_itself(tmp_path, command, text, budget, first):
+    (tmp_path / "drawn.json").write_text(text)
+    argv = [a.replace(TMP, str(tmp_path)) for a in command]
+    budget_flag = ["--budget", str(budget)]
+    argv = budget_flag + argv if first else argv + budget_flag
+    search = command[0] == "search"
+    once = _run(argv, search)
+    assert once[0] in (0, 1, 2, 3), (argv, once)
+    assert _run(argv, search) == once, argv

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monopath.budget import BudgetExceeded, WorkMeter
+from monopath import counting
+from monopath.budget import MEMO, BudgetExceeded, WorkMeter
 from monopath.counting import (
     count_antichains,
     count_antichains_exhaustive,
@@ -130,9 +131,10 @@ def _metered(run, limit, used=0):
         return "miss", str(exc), wm.used
 
 
-@pytest.mark.parametrize(
-    "shape", [(), (1,), (3,), (5,), (2, 2), (3, 2), (1, 4), (3, 3), (2, 2, 2), (3, 1, 2)]
-)
+PACKED_SHAPES = [(), (1,), (3,), (5,), (2, 2), (3, 2), (1, 4), (3, 3), (2, 2, 2), (3, 1, 2)]
+
+
+@pytest.mark.parametrize("shape", PACKED_SHAPES)
 def test_packed_dp_meters_like_tuple_reference(shape):
     # the packed window charges in bulk; value, units and the exact point of
     # a miss must match the per-unit tuple-window DP
@@ -149,6 +151,70 @@ def test_packed_dp_meters_like_tuple_reference(shape):
             assert _metered(packed, limit) == _metered(reference, limit), (bound, limit)
         # a pooled meter that arrives part-spent
         assert _metered(packed, total, 7) == _metered(reference, total, 7)
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Counts the runs of the frontier DP that the memo did not answer."""
+    calls = []
+    kernel = counting._frontier_dp
+
+    def counted(*args):
+        calls.append(args[:2])
+        return kernel(*args)
+
+    monkeypatch.setattr(counting, "_frontier_dp", counted)
+    return calls
+
+
+@pytest.mark.parametrize("shape", PACKED_SHAPES)
+def test_memo_replays_packed_dp_exactly(shape, kernel_calls):
+    # a warm call must look like the cold one: value or message, and units
+    for bound in range(5):
+        def packed(wm):
+            return count_box_partitions(shape, bound, budget=wm)
+
+        total = _metered(packed, 10**12)[2]
+        budgets = [(total - 1, 0), (total, 0), (total + 1, 0), (total, 7)]
+        cold = []
+        for limit, used in budgets:
+            MEMO.clear()
+            cold.append(_metered(packed, limit, used))
+            assert _metered(packed, limit, used) == cold[-1], (bound, limit, used)
+        # the store now holds the last miss; the value is computed once more,
+        # and so is the miss of room total - 1
+        del kernel_calls[:]
+        assert _metered(packed, 10**12)[:2] == ("ok", cold[1][1])
+        for _ in range(2):
+            assert [_metered(packed, limit, used) for limit, used in budgets] == cold
+        assert len(kernel_calls) == (2 if shape else 0)
+
+
+def test_memo_recomputes_a_miss_for_another_room(kernel_calls):
+    def run(wm):
+        return count_box_partitions((3, 3), 3, budget=wm)
+
+    total = _metered(run, 10**12)[2]
+    MEMO.clear()
+    del kernel_calls[:]
+    half = total // 2
+    # (limit, used) pairs with the rooms half, half - 1, half + 5, half + 2
+    calls = [(half, 0), (half - 1, 0), (half + 5, 0), (half + 3, 1)]
+    warm = [_metered(run, limit, used) for limit, used in calls]
+    assert [outcome for outcome, _, _ in warm] == ["miss"] * 4
+    assert len(kernel_calls) == 4
+    for (limit, used), got in zip(calls, warm):
+        MEMO.clear()
+        assert _metered(run, limit, used) == got
+    # the last room is stored again: its miss replays without the kernel
+    assert _metered(run, half + 3, 1) == warm[-1]
+    assert len(kernel_calls) == 8
+    # a value replays for any room of at least its units, but no less
+    assert _metered(run, total) == ("ok", 980, total)
+    assert _metered(run, total + 9, 9) == ("ok", 980, total + 9)
+    assert len(kernel_calls) == 9
+    assert _metered(run, total - 1)[0] == "miss"
+    assert len(kernel_calls) == 10
 
 
 def test_packed_dp_huge_window_misses_cheaply():

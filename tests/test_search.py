@@ -1,5 +1,8 @@
+from dataclasses import replace
+
 import pytest
 
+from monopath.budget import MEMO
 from monopath.colorings import EdgeColoring
 from monopath.paths import longest_mono
 from monopath.search import RamseyResult, SearchBudget, exact_ramsey
@@ -115,3 +118,68 @@ def test_bad_arguments():
         exact_ramsey(2, 0, 2)
     with pytest.raises(ValueError):
         exact_ramsey(2, 2, 0)
+
+
+# --- the process-wide memo ----------------------------------------------------
+
+
+def _without_seconds(res: RamseyResult) -> RamseyResult:
+    return replace(res, seconds=0.0)
+
+
+@pytest.mark.parametrize("k,q,n,n_max,cap", [
+    (3, 2, 2, None, None),          # exact
+    (4, 2, 2, None, 51),            # exact with exactly its node count
+    (3, 2, 2, 6, None),             # lower_bound_only
+    (3, 2, 3, None, 60_000),        # budget_exhausted
+    (2, 2, 4, None, 5_000),         # budget_exhausted
+])
+def test_search_hit_equals_cold_result(k, q, n, n_max, cap):
+    budget = SearchBudget(max_nodes=cap) if cap else None
+    cold = exact_ramsey(k, q, n, n_max, budget)
+    warm = exact_ramsey(k, q, n, n_max, budget)
+    assert _without_seconds(warm) == _without_seconds(cold)
+    assert warm.extremal.meta == cold.extremal.meta
+    # every result owns its coloring: changing one changes no later result
+    warm.extremal.colors[0] = 2
+    warm.extremal.meta["family"] = "changed"
+    again = exact_ramsey(k, q, n, n_max, budget)
+    assert _without_seconds(again) == _without_seconds(cold)
+    assert again.extremal.meta == cold.extremal.meta
+
+
+def test_search_memo_respects_node_caps(monkeypatch):
+    from monopath import search
+
+    runs = []
+    real = search._search
+
+    def counted(*args):
+        runs.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(search, "_search", counted)
+    exact = exact_ramsey(4, 2, 2)
+    assert (exact.status, exact.nodes) == ("exact", 51)
+    # any cap that covers the node count replays the exact result
+    assert exact_ramsey(4, 2, 2, budget=SearchBudget(max_nodes=51)).value == 9
+    assert len(runs) == 1
+    # a smaller cap searches, and its exhausted result replays only for it
+    short = exact_ramsey(4, 2, 2, budget=SearchBudget(max_nodes=50))
+    assert (short.status, short.nodes) == ("budget_exhausted", 51)
+    assert exact_ramsey(4, 2, 2, budget=SearchBudget(max_nodes=50)).nodes == 51
+    assert len(runs) == 2
+    assert exact_ramsey(4, 2, 2, budget=SearchBudget(max_nodes=49)).nodes == 50
+    assert len(runs) == 3
+    # the level cap is part of the key
+    assert exact_ramsey(4, 2, 2, n_max=7).status == "lower_bound_only"
+    assert len(runs) == 4
+
+
+def test_search_with_time_limit_is_never_cached():
+    timed = SearchBudget(max_nodes=10**6, max_seconds=60.0)
+    first = exact_ramsey(3, 2, 2, budget=timed)
+    assert len(MEMO) == 0
+    second = exact_ramsey(3, 2, 2, budget=timed)
+    assert _without_seconds(first) == _without_seconds(second)
+    assert len(MEMO) == 0
