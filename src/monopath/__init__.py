@@ -7,6 +7,10 @@ over antichain frontiers), extremal colorings that meet the known lower
 bounds, a longest-monotone-path engine with certificates, a small exact
 Ramsey search, and an interval-arithmetic checker for the tower-type
 inequalities relating the two sides.
+
+Each module is reached from the ``monopath`` command line (:mod:`.cli`).
+The brute-force oracles the engines are checked against are kept with the
+tests, not here.
 """
 
 from __future__ import annotations
@@ -23,24 +27,21 @@ from .colorings import (
     random_coloring,
 )
 from .counting import (
+    GridBox,
     RankProfile,
-    count_antichains,
     count_box_partitions,
     count_downsets,
     count_order_ideals,
     count_rho,
     dedekind,
-    lnn_max,
     lnn_rank_sizes,
     macmahon,
     macmahon_rect,
     middle_max,
     p1_closed,
     p1_rect,
-    s_count,
     s_profile,
 )
-from .grid import Antichain, DownSet, GridBox, HyperPartition, downset_to_partition, partition_to_downset
 from .paths import (
     Certificate,
     LabelEscape,
@@ -58,14 +59,11 @@ from .universes import Universe, build_universe
 __version__ = "0.1.0"
 
 __all__ = [
-    "Antichain",
     "BudgetExceeded",
     "Certificate",
     "DEFAULT_BUDGET",
-    "DownSet",
     "EdgeColoring",
     "GridBox",
-    "HyperPartition",
     "LabelEscape",
     "MonotonePath",
     "PathScan",
@@ -80,7 +78,6 @@ __all__ = [
     "color_3uniform_lower",
     "color_graph_lower",
     "color_kuniform_lower",
-    "count_antichains",
     "count_box_partitions",
     "count_downsets",
     "count_order_ideals",
@@ -88,12 +85,10 @@ __all__ = [
     "dedekind",
     "default_budget",
     "downset_labels",
-    "downset_to_partition",
     "exact_ramsey",
     "injectivity_certificate",
     "is_transitive",
     "label_vectors",
-    "lnn_max",
     "lnn_rank_sizes",
     "longest_mono",
     "macmahon",
@@ -101,10 +96,8 @@ __all__ = [
     "middle_max",
     "p1_closed",
     "p1_rect",
-    "partition_to_downset",
     "random_coloring",
     "run_inequality_suite",
-    "s_count",
     "s_profile",
     "tower",
     "tower_bounds",

@@ -13,7 +13,6 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass, field
 
 from .budget import DEFAULT_BUDGET, ENV_BUDGET, BudgetExceeded, default_budget
 from .bounds import render_rows, run_inequality_suite
@@ -27,6 +26,7 @@ from .colorings import (
     random_coloring,
 )
 from .counting import (
+    GridBox,
     count_downsets,
     count_rho,
     dedekind,
@@ -37,24 +37,11 @@ from .counting import (
     p1_rect,
     s_profile,
 )
-from .grid import GridBox
 from .paths import injectivity_certificate
 from .search import RamseyResult, SearchBudget, exact_ramsey
 
 DEFAULT_SEED = 1729
 DEFAULT_COLORING_FILE = "coloring.json"
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """A validated invocation: subcommand plus everything it needs."""
-
-    subcommand: str
-    params: dict
-    budget: int
-    seed: int
-    fmt: str
-    paths: dict = field(default_factory=dict)
 
 
 def _print_json(obj) -> None:
@@ -69,40 +56,33 @@ def _path_json(path) -> dict:
     }
 
 
-def _require(args, names: list[str]) -> None:
-    missing = [n for n in names if getattr(args, n.replace("-", "_"), None) is None]
-    if missing:
-        raise ValueError(f"missing required flags: {', '.join('--' + n for n in missing)}")
-
-
-def _cmd_count(cfg: RunConfig) -> int:
-    p = cfg.params
-    kind = p["kind"]
+def _cmd_count(args: argparse.Namespace, budget: int) -> int:
+    kind = args.kind
     if kind == "partitions":
-        if p.get("d") is None or p.get("n") is None:
+        if args.d is None or args.n is None:
             raise ValueError("count --kind partitions needs --d and --n")
-        v = count_downsets(GridBox(n=p["n"], d=p["d"]), budget=cfg.budget)
-        _print_json({"kind": kind, "d": p["d"], "n": p["n"], "value": str(v)})
+        v = count_downsets(GridBox(n=args.n, d=args.d), budget=budget)
+        _print_json({"kind": kind, "d": args.d, "n": args.n, "value": str(v)})
     elif kind == "rho":
-        if any(p.get(x) is None for x in ("k", "d", "n")):
+        if None in (args.k, args.d, args.n):
             raise ValueError("count --kind rho needs --k, --d and --n")
-        v = count_rho(p["k"], p["d"], p["n"], budget=cfg.budget)
-        _print_json({"kind": kind, "k": p["k"], "d": p["d"], "n": p["n"], "value": str(v)})
+        v = count_rho(args.k, args.d, args.n, budget=budget)
+        _print_json({"kind": kind, "k": args.k, "d": args.d, "n": args.n, "value": str(v)})
     elif kind == "dedekind":
-        if p.get("d") is None:
+        if args.d is None:
             raise ValueError("count --kind dedekind needs --d")
-        v = dedekind(p["d"], budget=cfg.budget)
-        _print_json({"kind": kind, "d": p["d"], "value": str(v)})
+        v = dedekind(args.d, budget=budget)
+        _print_json({"kind": kind, "d": args.d, "value": str(v)})
     elif kind == "rank-profile":
-        if p.get("n") is None:
+        if args.n is None:
             raise ValueError("count --kind rank-profile needs --n")
-        if p.get("d") is not None:
-            prof = s_profile(p["n"], p["d"], budget=cfg.budget)
-            head = {"kind": kind, "graded": f"[{p['n']}]^{p['d']} by coordinate sum"}
+        if args.d is not None:
+            prof = s_profile(args.n, args.d, budget=budget)
+            head = {"kind": kind, "graded": f"[{args.n}]^{args.d} by coordinate sum"}
         else:
-            prof = lnn_rank_sizes(p["n"], budget=cfg.budget)
-            head = {"kind": kind, "graded": f"line partitions in the {p['n']}-box by area"}
-        if cfg.fmt == "table":
+            prof = lnn_rank_sizes(args.n, budget=budget)
+            head = {"kind": kind, "graded": f"line partitions in the {args.n}-box by area"}
+        if args.fmt == "table":
             print(f"# {head['graded']}")
             for i, s in enumerate(prof.sizes):
                 print(f"{prof.start + i:4d}  {s}")
@@ -120,77 +100,71 @@ def _cmd_count(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_formula(cfg: RunConfig) -> int:
-    p = cfg.params
-    kind = p["kind"]
+def _cmd_formula(args: argparse.Namespace, budget: int) -> int:
+    kind = args.kind
     if kind == "p1":
-        if p.get("n") is None:
+        if args.n is None:
             raise ValueError("formula --kind p1 needs --n")
-        v = p1_closed(p["n"], budget=cfg.budget)
-        _print_json({"kind": kind, "n": p["n"], "value": str(v)})
+        v = p1_closed(args.n, budget=budget)
+        _print_json({"kind": kind, "n": args.n, "value": str(v)})
     elif kind == "macmahon":
-        if p.get("n") is None:
+        if args.n is None:
             raise ValueError("formula --kind macmahon needs --n")
-        v = macmahon(p["n"], budget=cfg.budget)
-        _print_json({"kind": kind, "n": p["n"], "value": str(v)})
+        v = macmahon(args.n, budget=budget)
+        _print_json({"kind": kind, "n": args.n, "value": str(v)})
     elif kind == "rectangular":
-        a, b, c = p.get("a"), p.get("b"), p.get("c")
+        a, b, c = args.a, args.b, args.c
         if a is None or b is None:
             raise ValueError("formula --kind rectangular needs --a and --b (and --c for boxes)")
         if c is None:
-            v = p1_rect(a, b, budget=cfg.budget)
+            v = p1_rect(a, b, budget=budget)
             _print_json({"kind": kind, "a": a, "b": b, "value": str(v)})
         else:
-            v = macmahon_rect(a, b, c, budget=cfg.budget)
+            v = macmahon_rect(a, b, c, budget=budget)
             _print_json({"kind": kind, "a": a, "b": b, "c": c, "value": str(v)})
     else:
         raise ValueError(f"unknown formula kind {kind!r}")
     return 0
 
 
-def _cmd_construct(cfg: RunConfig) -> int:
-    p = cfg.params
-    family = p["family"]
+def _cmd_construct(args: argparse.Namespace, budget: int) -> int:
+    family = args.family
     if family == "graph":
-        if p.get("q") is None or p.get("n") is None:
+        if args.q is None or args.n is None:
             raise ValueError("construct --family graph needs --q and --n")
-        col = color_graph_lower(p["q"], p["n"], budget=cfg.budget)
+        col = color_graph_lower(args.q, args.n, budget=budget)
     elif family == "3uniform":
-        if p.get("q") is None:
+        if args.q is None:
             raise ValueError("construct --family 3uniform needs --q")
-        if p.get("bounds") is not None:
-            bounds = tuple(int(x) for x in p["bounds"].split(","))
-            col = color_3uniform_lower(p["q"], bounds=bounds, budget=cfg.budget)
-        elif p.get("n") is not None:
-            col = color_3uniform_lower(p["q"], p["n"], budget=cfg.budget)
+        if args.bounds is not None:
+            bounds = tuple(int(x) for x in args.bounds.split(","))
+            col = color_3uniform_lower(args.q, bounds=bounds, budget=budget)
+        elif args.n is not None:
+            col = color_3uniform_lower(args.q, args.n, budget=budget)
         else:
             raise ValueError("construct --family 3uniform needs --n or --bounds")
     elif family == "kuniform":
-        if p.get("k") is None or p.get("n") is None:
+        if args.k is None or args.n is None:
             raise ValueError("construct --family kuniform needs --k and --n")
-        col = color_kuniform_lower(p["k"], p["n"], p.get("d") or 2, budget=cfg.budget)
+        col = color_kuniform_lower(args.k, args.n, args.d or 2, budget=budget)
     elif family == "random":
-        if any(p.get(x) is None for x in ("k", "q", "N")):
+        if None in (args.k, args.q, args.N):
             raise ValueError("construct --family random needs --k, --q and --N")
-        col = random_coloring(p["k"], p["q"], p["N"], cfg.seed, budget=cfg.budget)
+        col = random_coloring(args.k, args.q, args.N, args.seed, budget=budget)
     else:
         raise ValueError(f"unknown construct family {family!r}")
-    out = cfg.paths["out"]
-    col.save(out)
+    col.save(args.out)
     _print_json(
-        {"file": out, "family": family, "k": col.k, "q": col.q, "N": col.N,
+        {"file": args.out, "family": family, "k": col.k, "q": col.q, "N": col.N,
          "edges": col.num_edges}
     )
     return 0
 
 
-def _cmd_verify(cfg: RunConfig) -> int:
-    p = cfg.params
-    if p.get("n") is None:
-        raise ValueError("verify needs --n (the forbidden path length)")
-    n = p["n"]
-    col = EdgeColoring.load(cfg.paths["file"])
-    cert = injectivity_certificate(col, n, budget=cfg.budget)
+def _cmd_verify(args: argparse.Namespace, budget: int) -> int:
+    n = args.n
+    col = EdgeColoring.load(args.file)
+    cert = injectivity_certificate(col, n, budget=budget)
     scan = cert.scan
     report = {
         "n": n,
@@ -219,9 +193,9 @@ def _cmd_verify(cfg: RunConfig) -> int:
     return code
 
 
-def _cmd_transitive(cfg: RunConfig) -> int:
-    col = EdgeColoring.load(cfg.paths["file"])
-    res = is_transitive(col, budget=cfg.budget)
+def _cmd_transitive(args: argparse.Namespace, budget: int) -> int:
+    col = EdgeColoring.load(args.file)
+    res = is_transitive(col, budget=budget)
     if res is True:
         _print_json({"transitive": True})
         return 0
@@ -231,16 +205,13 @@ def _cmd_transitive(cfg: RunConfig) -> int:
     return 1
 
 
-def _cmd_search(cfg: RunConfig) -> int:
-    p = cfg.params
-    if any(p.get(x) is None for x in ("k", "q", "n")):
-        raise ValueError("search needs --k, --q and --n")
+def _cmd_search(args: argparse.Namespace, budget: int) -> int:
     sb = SearchBudget(
-        max_nodes=p.get("max_nodes") or cfg.budget,
-        max_seconds=p.get("max_seconds"),
+        max_nodes=args.max_nodes or budget,
+        max_seconds=args.max_seconds,
     )
-    res: RamseyResult = exact_ramsey(p["k"], p["q"], p["n"], p.get("max_N"), sb)
-    out = cfg.paths.get("extremal_out")
+    res: RamseyResult = exact_ramsey(args.k, args.q, args.n, args.max_N, sb)
+    out = args.extremal_out
     if out and res.extremal is not None:
         res.extremal.save(out)
     _print_json(
@@ -256,16 +227,15 @@ def _cmd_search(cfg: RunConfig) -> int:
     return 3 if res.status == "budget_exhausted" else 0
 
 
-def _cmd_bounds(cfg: RunConfig) -> int:
-    p = cfg.params
+def _cmd_bounds(args: argparse.Namespace, budget: int) -> int:
     rows = run_inequality_suite(
-        d_max=p.get("d_max") or 4,
-        n_max=p.get("n_max") or 4,
-        k_max=p.get("k_max") or 5,
-        budget=cfg.budget,
+        d_max=args.d_max or 4,
+        n_max=args.n_max or 4,
+        k_max=args.k_max or 5,
+        budget=budget,
     )
     failures = sum(1 for r in rows if r["verdict"] == "FAIL")
-    if cfg.fmt == "table":
+    if args.fmt == "table":
         print(render_rows(rows))
         print(f"# {len(rows)} rows, {failures} failures")
     else:
@@ -356,38 +326,13 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    budget = args.budget if args.budget is not None else default_budget()
-    if budget <= 0:
-        raise ValueError("--budget must be positive")
-    params = {
-        k: v
-        for k, v in vars(args).items()
-        if k not in ("budget", "seed", "fmt", "subcommand", "file", "out", "extremal_out")
-    }
-    paths = {}
-    for key in ("file", "out", "extremal_out"):
-        if hasattr(args, key):
-            paths[key] = getattr(args, key)
-    return RunConfig(
-        subcommand=args.subcommand,
-        params=params,
-        budget=budget,
-        seed=args.seed,
-        fmt=args.fmt,
-        paths=paths,
-    )
-
-
-def run(cfg: RunConfig) -> int:
-    return _COMMANDS[cfg.subcommand](cfg)
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        return run(cfg)
+        budget = args.budget if args.budget is not None else default_budget()
+        if budget <= 0:
+            raise ValueError("--budget must be positive")
+        return _COMMANDS[args.subcommand](args, budget)
     except BudgetExceeded as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return 3

@@ -46,6 +46,23 @@ from .universes import build_universe
 ENCODING = "colex-rank-array"
 
 
+def _binomial_upto(n: int, k: int, cap: int) -> int | None:
+    """C(n, k) when it is at most ``cap``, else None.
+
+    The partial values C(n, j), j <= min(k, n - k), grow with j and are at
+    least 2^j, so at most log2(cap) + 1 steps run and no number larger than
+    ``cap * n`` is formed.
+    """
+    if not 0 <= k <= n:
+        return 0
+    value = 1
+    for j in range(1, min(k, n - k) + 1):
+        value = value * (n - j + 1) // j
+        if value > cap:
+            return None
+    return value
+
+
 @dataclass
 class EdgeColoring:
     """A q-coloring of all k-subsets of range(N), colex-rank indexed."""
@@ -60,10 +77,13 @@ class EdgeColoring:
     def __post_init__(self) -> None:
         if self.k < 1 or self.q < 1 or self.N < 0:
             raise ValueError("need k >= 1, q >= 1, N >= 0")
-        expected = comb(self.N, self.k)
+        # no array in memory holds 10^100 colors; a larger C(N, k) is named
+        # in the message, not computed
+        expected = _binomial_upto(self.N, self.k, 10**100)
         if len(self.colors) != expected:
+            shown = f"C({self.N}, {self.k})" if expected is None else expected
             raise ValueError(
-                f"expected {expected} colors for N={self.N}, k={self.k}, "
+                f"expected {shown} colors for N={self.N}, k={self.k}, "
                 f"got {len(self.colors)}"
             )
         if self.colors and not 1 <= min(self.colors) <= max(self.colors) <= self.q:
@@ -186,27 +206,33 @@ def _monotone_arrays(shape: tuple[int, ...], bound: int, wm) -> list[tuple[int, 
         strides.append(acc)
         acc *= s
     strides.reverse()
-    coords = list(product(*(range(s) for s in shape)))
+    # the offsets back to each cell's neighbours one step down an axis
+    backs = [[strides[t] for t, c in enumerate(cell) if c > 0]
+             for cell in product(*(range(s) for s in shape))]
     out: list[tuple[int, ...]] = []
     entries = [0] * cells
-
-    def rec(flat: int) -> None:
-        if flat == cells:
-            wm.charge()
-            out.append(tuple(entries))
-            return
-        cap = bound
-        for t, c in enumerate(coords[flat]):
-            if c > 0:
-                v = entries[flat - strides[t]]
-                if v < cap:
-                    cap = v
-        for v in range(cap + 1):
-            entries[flat] = v
-            rec(flat + 1)
-
-    rec(0)
-    return out
+    caps = [0] * cells
+    # an odometer instead of recursion, which would go one level per cell:
+    # fill the cells from ``start`` on with their smallest value, emit, then
+    # raise the last cell still below its cap
+    start = 0
+    while True:
+        for flat in range(start, cells):
+            cap = bound
+            for off in backs[flat]:
+                if entries[flat - off] < cap:
+                    cap = entries[flat - off]
+            caps[flat] = cap
+            entries[flat] = 0
+        wm.charge()
+        out.append(tuple(entries))
+        flat = cells - 1
+        while flat >= 0 and entries[flat] == caps[flat]:
+            flat -= 1
+        if flat < 0:
+            return out
+        entries[flat] += 1
+        start = flat + 1
 
 
 def color_3uniform_lower(

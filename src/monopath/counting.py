@@ -16,10 +16,10 @@ window are shifts and masks.  Its work units are one per transition plus the
 window size per new state, billed in bulk per batch of states, and a budget
 miss raises at the same unit count as billing every unit on its own would.
 
-Tiny boxes retain brute-force subset scans as independent oracles, and
-antichains are counted by a third route (independent sets of the
-comparability graph) so that the down-set / antichain bijection can be
-double checked at scale.
+The grid poset itself is :class:`GridBox`.  The independent oracles these
+counts are checked against, subset scans on tiny boxes and antichains
+counted as independent sets of the comparability graph, live with the tests
+in ``tests/helpers.py``.
 
 Also here: the rank statistic S_n(k, d) counting compositions of k into d
 parts from 1..n, rank sizes of the lattice of length-n decreasing sequences
@@ -35,7 +35,27 @@ from itertools import islice, product
 from math import comb, prod
 
 from .budget import WorkMeter, memoized, meter
-from .grid import GridBox, dominates
+
+
+@dataclass(frozen=True)
+class GridBox:
+    """The poset [n]^d of d-tuples with entries in 1..n."""
+
+    n: int
+    d: int
+
+    def __post_init__(self) -> None:
+        if self.n < 1 or self.d < 1:
+            raise ValueError(f"box needs n >= 1 and d >= 1, got n={self.n} d={self.d}")
+
+    @property
+    def size(self) -> int:
+        return self.n**self.d
+
+    def points(self) -> list[tuple[int, ...]]:
+        """All points in lexicographic order, coordinate 1 most significant."""
+        return list(product(range(1, self.n + 1), repeat=self.d))
+
 
 # --- closed forms -------------------------------------------------------------
 
@@ -190,117 +210,6 @@ def dedekind(d: int, *, budget: int | None = None) -> int:
     return count_downsets(GridBox(2, d), budget=budget)
 
 
-# --- brute-force oracles ------------------------------------------------------
-
-_EXHAUSTIVE_CAP = 20
-
-
-def _cover_pred_masks(points: list[tuple[int, ...]]) -> list[int]:
-    index = {p: i for i, p in enumerate(points)}
-    masks = []
-    for p in points:
-        pm = 0
-        for i, c in enumerate(p):
-            if c > 1:
-                pm |= 1 << index[p[:i] + (c - 1,) + p[i + 1 :]]
-        masks.append(pm)
-    return masks
-
-
-def count_downsets_exhaustive(box: GridBox) -> int:
-    """Scan all 2^(n^d) subsets and keep the down-closed ones.  Tiny boxes only."""
-    m = box.size
-    if m > _EXHAUSTIVE_CAP:
-        raise ValueError(f"box has {m} points; exhaustive scan capped at {_EXHAUSTIVE_CAP}")
-    masks = _cover_pred_masks(box.points())
-    count = 0
-    for s in range(1 << m):
-        rest = s
-        ok = True
-        while rest:
-            i = (rest & -rest).bit_length() - 1
-            if masks[i] & s != masks[i]:
-                ok = False
-                break
-            rest &= rest - 1
-        if ok:
-            count += 1
-    return count
-
-
-def count_antichains_exhaustive(box: GridBox) -> int:
-    """Scan all subsets and keep the pairwise incomparable ones.  Tiny boxes only."""
-    m = box.size
-    if m > _EXHAUSTIVE_CAP:
-        raise ValueError(f"box has {m} points; exhaustive scan capped at {_EXHAUSTIVE_CAP}")
-    points = box.points()
-    comp = [0] * m
-    for i, x in enumerate(points):
-        for j, y in enumerate(points):
-            if i != j and (dominates(x, y) or dominates(y, x)):
-                comp[i] |= 1 << j
-    count = 0
-    for s in range(1 << m):
-        rest = s
-        ok = True
-        while rest:
-            i = (rest & -rest).bit_length() - 1
-            if comp[i] & s:
-                ok = False
-                break
-            rest &= rest - 1
-        if ok:
-            count += 1
-    return count
-
-
-def count_antichains(box: GridBox, *, budget: int | None = None) -> int:
-    """Antichains of [n]^d, counted as independent sets of the comparability graph.
-
-    Branch on a vertex of maximum remaining degree (in the set / out of the
-    set), memoizing on the mask of still-available vertices.  This shares no
-    machinery with the frontier DP, so agreement of the two counts checks the
-    down-set / antichain bijection computationally.
-    """
-    wm = meter(budget, f"antichain count in [{box.n}]^{box.d}")
-    points = box.points()
-    m = len(points)
-    comp = [0] * m
-    for i, x in enumerate(points):
-        for j in range(i + 1, m):
-            y = points[j]
-            if dominates(x, y) or dominates(y, x):
-                comp[i] |= 1 << j
-                comp[j] |= 1 << i
-    memo: dict[int, int] = {}
-
-    def count(avail: int) -> int:
-        if avail == 0:
-            return 1
-        cached = memo.get(avail)
-        if cached is not None:
-            return cached
-        wm.charge()
-        best, best_deg = -1, -1
-        rest = avail
-        while rest:
-            i = (rest & -rest).bit_length() - 1
-            deg = (comp[i] & avail).bit_count()
-            if deg > best_deg:
-                best, best_deg = i, deg
-            rest &= rest - 1
-        if best_deg == 0:
-            result = 1 << avail.bit_count()
-        else:
-            without = count(avail & ~(1 << best))
-            with_v = count(avail & ~((1 << best) | comp[best]))
-            result = without + with_v
-        memo[avail] = result
-        return result
-
-    return count((1 << m) - 1)
-
-
 # --- order ideals of an arbitrary finite poset --------------------------------
 
 
@@ -416,9 +325,6 @@ class RankProfile:
     def max_size(self) -> int:
         return max(self.sizes)
 
-    def is_symmetric(self) -> bool:
-        return self.sizes == self.sizes[::-1]
-
 
 def s_profile(n: int, d: int, *, budget: int | None = None) -> RankProfile:
     """Counts of d-tuples from 1..n by coordinate sum (ranks d..dn).
@@ -438,14 +344,6 @@ def s_profile(n: int, d: int, *, budget: int | None = None) -> RankProfile:
                     nxt[total + v] += cnt
         ways = nxt
     return RankProfile(d, tuple(ways[d : d * n + 1]))
-
-
-def s_count(n: int, d: int, k: int) -> int:
-    """Solutions of x_1 + ... + x_d = k with every x_i in 1..n."""
-    profile = s_profile(n, d)
-    if not d <= k <= d * n:
-        raise ValueError(f"sum {k} out of range {d}..{d * n}")
-    return profile.sizes[k - d]
 
 
 def middle_max(n: int, d: int, *, budget: int | None = None) -> tuple[int, int]:
@@ -497,8 +395,3 @@ def lnn_rank_sizes(n: int, *, budget: int | None = None) -> RankProfile:
     if len(sizes) != expected:
         raise AssertionError("Gaussian binomial has the wrong degree")
     return RankProfile(0, tuple(sizes))
-
-
-def lnn_max(n: int) -> int:
-    """Largest rank size of the lattice of decreasing sequences (middle rank)."""
-    return lnn_rank_sizes(n).max_size

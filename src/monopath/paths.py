@@ -195,7 +195,10 @@ def _label_levels(
 
     Size k-1 entries are grid points of [n]^q; smaller sizes are bitmasks
     over the next universe down (size j labels live in the order-(k-j+1)
-    universe, stored as masks over the order-(k-j) one).
+    universe, stored as masks over the order-(k-j) one).  Below size k-1 a
+    tuple that starts at vertex 0 has the empty label 0 and costs no unit;
+    it is left out, so every stored label is paid for and the tables grow
+    no faster than the budget.  Read them with ``.get(t, 0)``.
     """
     k, q, big = coloring.k, coloring.q, coloring.N
     if not 1 <= r <= k - 1:
@@ -221,11 +224,11 @@ def _label_levels(
         pmask = lower.principal_masks()
         upper = levels[j + 1]
         lev: dict[tuple[int, ...], int] = {}
-        for t in combinations(range(big), j):
+        for t in combinations(range(1, big), j):
             acc = 0
             for x in range(t[0]):
                 wm.charge()
-                acc |= pmask[lower.index_of(upper[(x,) + t])]
+                acc |= pmask[lower.index_of(upper.get((x,) + t, 0))]
             lev[t] = acc
         levels[j] = lev
     return levels
@@ -241,7 +244,10 @@ def downset_labels(
     Raises LabelEscape when some color reaches a path of length n, in which
     case no such labels exist.
     """
-    return _label_levels(coloring, n, r, budget)[r]
+    labels = _label_levels(coloring, n, r, budget)[r]
+    if r == coloring.k - 1:
+        return labels
+    return {t: labels.get(t, 0) for t in combinations(range(coloring.N), r)}
 
 
 @dataclass(frozen=True)
@@ -278,12 +284,12 @@ def _extract_collision_path(
     t = (u, v)
     while len(t) < k:
         j = len(t)
-        cur = levels[j][t]
+        cur = levels[j].get(t, 0)
         grid_level = j == k - 1
         found = None
         for x in range(t[0]):
             wm.charge()
-            other = levels[j][(x,) + t[:-1]]
+            other = levels[j].get((x,) + t[:-1], 0)
             if grid_level:
                 ok = all(a <= b for a, b in zip(cur, other))
             else:
@@ -330,7 +336,7 @@ def injectivity_certificate(
     levels = _label_levels(coloring, n, 1, budget)
     seen: dict = {}
     for v in range(coloring.N):
-        lab = levels[1][(v,)]
+        lab = levels[1].get((v,), 0)
         if lab in seen:
             path = _extract_collision_path(coloring, levels, seen[lab], v, budget)
             return Certificate(

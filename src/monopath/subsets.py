@@ -18,7 +18,6 @@ colex order, and a upward within each, visit the edges in colex order.
 
 from __future__ import annotations
 
-from itertools import accumulate, chain
 from math import comb
 from typing import Iterator
 
@@ -27,14 +26,40 @@ def colex_rank(t: tuple[int, ...]) -> int:
     return sum(comb(v, i + 1) for i, v in enumerate(t))
 
 
+def _colex_walk(n: int, r: int) -> Iterator[list[int]]:
+    """Every r-subset of range(n) in colex order, as one list changed in place.
+
+    The successor of b raises b[i] for the first i with b[i] + 1 < b[i + 1]
+    (or i = r - 1) and resets b[:i] to 0..i-1.  ``run`` is the length of the
+    prefix of b that already reads 0, 1, 2, ...; there the reset changes
+    nothing and i = run - 1, so the walk never scans that prefix.  A step then
+    costs O(1) on average, and nothing recurses, whatever r is.
+    """
+    if r > n:
+        return
+    b = list(range(r))
+    run = r
+    end = n - r  # only the last subset, range(n - r, n), starts there
+    while True:
+        yield b
+        if not r or b[0] == end:
+            return
+        if run:
+            run -= 1
+            b[run] += 1
+            continue
+        i = 0
+        while i + 1 < r and b[i] + 1 == b[i + 1]:
+            i += 1
+        if i:
+            b[:i] = range(i)
+        run = i
+        b[i] += 1
+
+
 def subsets_colex(n: int, r: int) -> Iterator[tuple[int, ...]]:
     """All r-subsets of range(n) in colex order (rank order)."""
-    if r == 0:
-        yield ()
-        return
-    for last in range(r - 1, n):
-        for front in subsets_colex(last, r - 1):
-            yield front + (last,)
+    return map(tuple, _colex_walk(n, r))
 
 
 def colex_windows(n: int, k: int) -> list[tuple[int, int, int]]:
@@ -44,20 +69,22 @@ def colex_windows(n: int, k: int) -> list[tuple[int, int, int]]:
     a < m = b[0], the edge (a,) + b has rank edge_rank0 + a and its front
     window (a,) + b[:-1] has rank front_rank0 + a.
 
-    The colex list for range(v) is a prefix of the list for range(n), so the
-    first vertices of the j-subsets are blocks of those of the (j-1)-subsets,
-    and both rank starts are prefix sums of first vertices: edge_rank0 over
-    the windows before b, front_rank0 over the (k-2)-subsets before b[:-1].
+    Both starts follow from the colex rank sum: edge_rank0 is the rank of
+    (0,) + b, the first vertices of the windows before b summed, and
+    front_rank0 drops the term of the last vertex v, C(v, k), from it.  One
+    walk over the windows builds the list, in time and memory linear in its
+    length for every k.
     """
     if k < 2:
         raise ValueError("windows need k >= 2")
-    lower, firsts = [0], list(range(n))
-    for j in range(2, k):
-        lower, firsts = firsts, list(
-            chain.from_iterable(firsts[: comb(v, j - 1)] for v in range(j - 1, n))
-        )
-    lower_starts = list(accumulate(lower, initial=0))
-    front_starts = chain.from_iterable(
-        lower_starts[: comb(v, k - 2)] for v in range(k - 2, n)
-    )
-    return list(zip(accumulate(firsts, initial=0), front_starts, firsts))
+    out = []
+    append = out.append
+    edge0 = last = top = 0
+    for b in _colex_walk(n, k - 1):
+        if b[-1] != last:
+            last = b[-1]
+            top = comb(last, k)
+        m = b[0]
+        append((edge0, edge0 - top, m))
+        edge0 += m
+    return out

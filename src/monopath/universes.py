@@ -52,9 +52,6 @@ class Universe:
         except KeyError:
             raise ValueError(f"not an order-{self.k} structure here: {el!r}") from None
 
-    def __contains__(self, el) -> bool:
-        return el in self._index
-
     def subset_le(self, a, b) -> bool:
         """a contained in b (coordinatewise for points, set-wise for masks)."""
         if self.k == 2:
@@ -152,17 +149,6 @@ class Universe:
             out.append((rest & -rest).bit_length() - 1)
             rest &= rest - 1
         return out
-
-    def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "d": self.d,
-            "n": self.n,
-            "elements": [self.element_json(el) for el in self.elements],
-        }
-
-    def __repr__(self) -> str:
-        return f"Universe(k={self.k}, d={self.d}, n={self.n}, size={self.size})"
 
 
 def _mask_sort_key(mask: int, width: int) -> int:

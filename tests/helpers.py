@@ -1,18 +1,25 @@
-"""Brute-force oracles, deliberately sharing no machinery with the package.
+"""Brute-force oracles, deliberately sharing no algorithm with the package.
 
-Everything here scans a full search space: subsets for down-set counts,
-value assignments for box partitions, vertex sequences for monotone paths.
-Tiny instances only.  Two exceptions are kept as metering references:
-``tuple_box_partitions``, the frontier DP with a tuple window and a charge
-per unit, for the packed-window DP in :mod:`monopath.counting`, and
-``dict_longest_mono``, the path DP over dicts keyed by window tuples, for
-the flat window-rank sweeps in :mod:`monopath.paths`.
+Everything here scans a full search space: subsets for down-set and
+antichain counts, value assignments for box partitions, vertex sequences for
+monotone paths.  Tiny instances only.  ``count_antichains`` is the exception
+that reaches larger boxes: it counts antichains as independent sets of the
+comparability graph under a work meter, sharing no machinery with the
+frontier DP that counts down-sets.  Two more exceptions are kept as metering
+references: ``tuple_box_partitions``, the frontier DP with a tuple window
+and a charge per unit, for the packed-window DP in
+:mod:`monopath.counting`, and ``dict_longest_mono``, the path DP over dicts
+keyed by window tuples, for the flat window-rank sweeps in
+:mod:`monopath.paths`.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, product
 from math import comb, prod
+
+from monopath.budget import meter
+from monopath.counting import GridBox
 
 
 def brute_box_partitions(shape: tuple[int, ...], bound: int) -> int:
@@ -72,6 +79,20 @@ def tuple_box_partitions(shape: tuple[int, ...], bound: int, wm) -> int:
     return sum(states.values())
 
 
+def grid_pred_masks(box: GridBox) -> list[int]:
+    """Cover-predecessor masks of the grid points, in ``box.points()`` order."""
+    points = box.points()
+    index = {p: i for i, p in enumerate(points)}
+    masks = []
+    for p in points:
+        pm = 0
+        for i, c in enumerate(p):
+            if c > 1:
+                pm |= 1 << index[p[:i] + (c - 1,) + p[i + 1 :]]
+        masks.append(pm)
+    return masks
+
+
 def brute_ideal_masks(pred_masks: list[int]) -> list[int]:
     """All down-set masks of a poset, by scanning every subset."""
     m = len(pred_masks)
@@ -88,6 +109,89 @@ def brute_ideal_masks(pred_masks: list[int]) -> list[int]:
         if ok:
             out.append(s)
     return out
+
+
+def dominates(x: tuple[int, ...], y: tuple[int, ...]) -> bool:
+    """True iff x_i <= y_i for every coordinate i."""
+    if len(x) != len(y):
+        raise ValueError(f"point dimensions differ: {len(x)} vs {len(y)}")
+    return all(a <= b for a, b in zip(x, y))
+
+
+_EXHAUSTIVE_CAP = 20
+
+
+def count_antichains_exhaustive(box: GridBox) -> int:
+    """Scan all subsets and keep the pairwise incomparable ones.  Tiny boxes only."""
+    m = box.size
+    if m > _EXHAUSTIVE_CAP:
+        raise ValueError(f"box has {m} points; exhaustive scan capped at {_EXHAUSTIVE_CAP}")
+    points = box.points()
+    comp = [0] * m
+    for i, x in enumerate(points):
+        for j, y in enumerate(points):
+            if i != j and (dominates(x, y) or dominates(y, x)):
+                comp[i] |= 1 << j
+    count = 0
+    for s in range(1 << m):
+        rest = s
+        ok = True
+        while rest:
+            i = (rest & -rest).bit_length() - 1
+            if comp[i] & s:
+                ok = False
+                break
+            rest &= rest - 1
+        if ok:
+            count += 1
+    return count
+
+
+def count_antichains(box: GridBox, *, budget: int | None = None) -> int:
+    """Antichains of [n]^d, counted as independent sets of the comparability graph.
+
+    Branch on a vertex of maximum remaining degree (in the set / out of the
+    set), memoizing on the mask of still-available vertices.  This shares no
+    machinery with the frontier DP, so agreement of the two counts checks the
+    down-set / antichain bijection computationally.
+    """
+    wm = meter(budget, f"antichain count in [{box.n}]^{box.d}")
+    points = box.points()
+    m = len(points)
+    comp = [0] * m
+    for i, x in enumerate(points):
+        for j in range(i + 1, m):
+            y = points[j]
+            if dominates(x, y) or dominates(y, x):
+                comp[i] |= 1 << j
+                comp[j] |= 1 << i
+    memo: dict[int, int] = {}
+
+    def count(avail: int) -> int:
+        if avail == 0:
+            return 1
+        cached = memo.get(avail)
+        if cached is not None:
+            return cached
+        wm.charge()
+        best, best_deg = -1, -1
+        rest = avail
+        while rest:
+            i = (rest & -rest).bit_length() - 1
+            deg = (comp[i] & avail).bit_count()
+            if deg > best_deg:
+                best, best_deg = i, deg
+            rest &= rest - 1
+        if best_deg == 0:
+            result = 1 << avail.bit_count()
+        else:
+            without = count(avail & ~(1 << best))
+            with_v = count(avail & ~((1 << best) | comp[best]))
+            result = without + with_v
+        memo[avail] = result
+        return result
+
+    return count((1 << m) - 1)
 
 
 def brute_longest(coloring) -> dict[int, int]:

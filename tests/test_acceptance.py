@@ -21,18 +21,17 @@ from monopath.colorings import (
     random_coloring,
 )
 from monopath.counting import (
-    count_antichains,
+    GridBox,
     count_box_partitions,
     count_downsets,
     count_rho,
     macmahon,
 )
-from monopath.grid import GridBox
 from monopath.paths import injectivity_certificate, longest_mono, validate_path
 from monopath.search import SearchBudget, exact_ramsey
 from monopath.universes import build_universe
 from conftest import record
-from helpers import brute_box_partitions, brute_ideal_masks, brute_longest
+from helpers import brute_box_partitions, brute_ideal_masks, brute_longest, count_antichains
 
 BIG = 200_000_000
 

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+from math import comb
 
 import pytest
 
@@ -271,3 +272,45 @@ def test_colors_out_of_range_exit_2(tmp_path, capsys, bad):
                  ["transitive", "--file", str(path)]):
         assert main(argv) == 2
         assert capsys.readouterr().err == "error: colors must lie in 1..2\n"
+
+
+def _all_one_coloring(path, k, n_vertices):
+    path.write_text(json.dumps({"k": k, "q": 1, "N": n_vertices, "encoding": "colex-rank-array",
+                                "colors": [1] * comb(n_vertices, k)}))
+    return str(path)
+
+
+def test_verify_wide_k_reports_its_path(tmp_path, capsys):
+    # 35 vertices, 34-uniform: the window index lists 595 vertex pairs left out
+    f = _all_one_coloring(tmp_path / "wide.json", 34, 35)
+    code, rep = run_json(capsys, "verify", "--file", f, "--n", "2", "--budget", "1000")
+    assert code == 1
+    assert rep["per_color_max"] == [2]
+    assert rep["certificate"] == {"path": {"color": 1, "length": 2,
+                                           "vertices": list(range(1, 36))}}
+
+
+def test_verify_k_deeper_than_recursion_limit(tmp_path, capsys):
+    # 1.1 M windows of 1499 vertices, walked without recursion
+    f = _all_one_coloring(tmp_path / "deep.json", 1500, 1501)
+    code, rep = run_json(capsys, "verify", "--file", f, "--n", "2", "--budget", "100000")
+    assert code == 1
+    assert rep["certificate"]["path"]["vertices"] == list(range(1, 1502))
+
+
+def test_construct_one_long_bound_ends_on_budget(capsys, tmp_path):
+    # 1201 vertices, one per weakly decreasing 0/1 sequence of length 1200
+    argv = ["--budget", "1000", "construct", "--family", "3uniform", "--q", "2",
+            "--bounds", "1200,1", "--out", str(tmp_path / "c.json")]
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith("budget exhausted: 3-uniform coloring")
+
+
+def test_coloring_length_checked_without_the_binomial(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    for k, n_vertices, shown in [(100000, 200000, "C(200000, 100000)"), (3, 5, "10")]:
+        path.write_text(json.dumps({"k": k, "q": 2, "N": n_vertices,
+                                    "encoding": "colex-rank-array", "colors": []}))
+        assert main(["verify", "--file", str(path), "--n", "2"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: expected {shown} colors for N={n_vertices}, k={k}, got 0\n")

@@ -3,12 +3,18 @@
 Every run must end with an exit code in {0, 1, 2, 3} and raise nothing, and
 a repeat must print exactly what the first run printed: the process-wide
 memo may answer it, but never differently.  Budgets stay at or below 10^5
-units, so each run ends quickly.
+units, so each run ends quickly.  Besides small and malformed inputs, the
+strategies draw inputs whose size once reached a crash: a 3-uniform
+construction with one bound past the recursion limit, valid coloring files
+with N = k + 1 and k up to past the recursion limit, and coloring files whose
+edge count C(N, k) has tens of thousands of digits.  Each ``main`` call gets
+the recursion limit it has as a program.
 """
 
 import contextlib
 import io
 import json
+import sys
 from math import comb
 
 from hypothesis import HealthCheck, given, settings
@@ -47,6 +53,15 @@ BOUNDS_LIST = st.one_of(
     st.just("x"),
 )
 
+
+@st.composite
+def _long_bounds(draw):
+    """``--q`` and ``--bounds`` with one bound past the recursion limit, the rest 1."""
+    bounds = [1] * draw(_ints(2, 4))
+    bounds[draw(_ints(0, len(bounds) - 1))] = draw(_ints(1000, 1300))
+    return ["--q", str(len(bounds)), "--bounds", ",".join(map(str, bounds))]
+
+
 COMMANDS = st.one_of(
     _command(_word("count --kind partitions", "count --kind rho", "count --kind dedekind",
                    "count --kind rank-profile"),
@@ -59,6 +74,8 @@ COMMANDS = st.one_of(
              _flag("--q", _ints(0, 4)), _flag("--n", _ints(0, 4)), _flag("--k", _ints(1, 5)),
              _flag("--d", _ints(0, 3)), _flag("--N", _ints(-1, 12)),
              _flag("--bounds", BOUNDS_LIST), _flag("--seed"),
+             st.just(["--out", f"{TMP}/c.json"])),
+    _command(_word("construct --family 3uniform"), _long_bounds(),
              st.just(["--out", f"{TMP}/c.json"])),
     _command(st.just(["verify"]), st.sampled_from(FILES).map(lambda f: ["--file", f]),
              _ints(0, 5).map(lambda n: ["--n", str(n)])),
@@ -92,16 +109,50 @@ def _coloring_doc(draw):
     return doc
 
 
+@st.composite
+def _wide_doc(draw):
+    """A valid coloring with N = k + 1: C(N, k - 1) windows, with k - 1 from
+    past half of N up to past the recursion limit."""
+    k = draw(st.one_of(_ints(20, 60), _ints(1000, 1100)))
+    q = draw(_ints(1, 3))
+    pattern = draw(st.lists(_ints(1, q), min_size=1, max_size=8))
+    colors = [pattern[i % len(pattern)] for i in range(k + 1)]
+    return {"k": k, "q": q, "N": k + 1, "encoding": "colex-rank-array", "colors": colors}
+
+
+# too few colors for an edge count C(N, k) of tens of thousands of digits
+HUGE_DOC = st.tuples(_ints(10**4, 10**5), _ints(0, 3)).map(lambda t: {
+    "k": t[0], "q": 2, "N": 2 * t[0], "encoding": "colex-rank-array", "colors": [1] * t[1]})
+
 FILE_TEXT = st.one_of(
     _coloring_doc().map(json.dumps),
+    _wide_doc().map(json.dumps),
+    HUGE_DOC.map(json.dumps),
     st.sampled_from(["", "not json", "[]", "{}", "null", '{"k": 2']),
 )
+
+
+@contextlib.contextmanager
+def _program_stack():
+    """The stack ``main`` has in the ``monopath`` program: the interpreter's
+    default of 1000 frames above the caller.  Hypothesis raises the recursion
+    limit while a test runs, which would hide a recursion that grows with the
+    input."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 1000)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def _run(argv: list[str], search: bool) -> tuple:
     """(exit code, stdout, stderr) of one ``main`` call; search drops ``seconds``."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), _program_stack():
         try:
             rc = main(argv)
         except SystemExit as exc:  # argparse rejects the argv

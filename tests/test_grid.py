@@ -1,45 +1,32 @@
+"""The grid box [n]^d and the two bijections the counting oracles rest on.
+
+Down-sets of [n]^d map one to one onto (d-1)-dimensional arrays of column
+heights, weakly decreasing with entries in 0..n, which the frontier DP
+counts; and onto antichains, by maximal elements one way and downward
+closure the other, which ``count_antichains`` counts.  Both maps are built
+here from brute-force down-sets, so a wrong model behind either count shows.
+"""
+
 from itertools import product
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from monopath.grid import (
-    Antichain,
-    DownSet,
-    GridBox,
-    HyperPartition,
+from monopath.counting import GridBox, count_downsets
+from helpers import (
+    brute_box_partitions,
+    brute_ideal_masks,
+    count_antichains_exhaustive,
     dominates,
-    downset_closure,
-    downset_from_json,
-    downset_to_json,
-    downset_to_partition,
-    maximal_elements,
-    partition_to_downset,
+    grid_pred_masks,
 )
-from helpers import brute_ideal_masks
 
 
-def grid_pred_masks(box: GridBox) -> list[int]:
+def all_downsets(box: GridBox) -> list[frozenset[tuple[int, ...]]]:
     points = box.points()
-    index = {p: i for i, p in enumerate(points)}
-    masks = []
-    for p in points:
-        pm = 0
-        for i, c in enumerate(p):
-            if c > 1:
-                pm |= 1 << index[p[:i] + (c - 1,) + p[i + 1 :]]
-        masks.append(pm)
-    return masks
-
-
-def all_downsets(box: GridBox) -> list[DownSet]:
-    points = box.points()
-    out = []
-    for mask in brute_ideal_masks(grid_pred_masks(box)):
-        members = frozenset(p for i, p in enumerate(points) if mask >> i & 1)
-        out.append(DownSet(box, members))
-    return out
+    return [
+        frozenset(p for i, p in enumerate(points) if mask >> i & 1)
+        for mask in brute_ideal_masks(grid_pred_masks(box))
+    ]
 
 
 def test_dominates():
@@ -64,93 +51,38 @@ def test_box_points_lex_sorted():
     assert pts == sorted(pts)
     assert pts[0] == (1, 1)
     assert pts[-1] == (3, 3)
-    assert (2, 3) in box
-    assert (0, 1) not in box
-    assert (1, 1, 1) not in box
-
-
-def test_downset_validation():
-    box = GridBox(2, 2)
-    DownSet(box, frozenset({(1, 1), (1, 2)}))
-    with pytest.raises(ValueError, match="not a down-set"):
-        DownSet(box, frozenset({(2, 2)}))
-    with pytest.raises(ValueError, match="outside box"):
-        DownSet(box, frozenset({(3, 1)}))
-
-
-def test_antichain_validation():
-    box = GridBox(3, 2)
-    Antichain(box, frozenset({(1, 3), (3, 1), (2, 2)}))
-    with pytest.raises(ValueError, match="comparable"):
-        Antichain(box, frozenset({(1, 1), (2, 2)}))
-
-
-def test_partition_validation():
-    HyperPartition((2, 2), 2, (2, 1, 1, 0))
-    with pytest.raises(ValueError, match="increase"):
-        HyperPartition((2, 2), 2, (1, 2, 0, 0))
-    with pytest.raises(ValueError, match="entries"):
-        HyperPartition((2,), 1, (2, 0))
-    with pytest.raises(ValueError):
-        HyperPartition((2, 2), 2, (1, 1, 1))
-
-
-def test_partition_entry_and_nested():
-    a = HyperPartition((2, 3), 4, (4, 2, 1, 3, 2, 0))
-    assert a.entry((1, 1)) == 4
-    assert a.entry((2, 2)) == 2
-    assert a.to_nested() == [[4, 2, 1], [3, 2, 0]]
-    back = HyperPartition.from_nested([[4, 2, 1], [3, 2, 0]], 4)
-    assert back == a
-    zero_axes = HyperPartition((), 5, (3,))
-    assert zero_axes.to_nested() == 3
-
-
-def test_from_nested_ragged():
-    with pytest.raises(ValueError, match="ragged"):
-        HyperPartition.from_nested([[1, 2], [1]], 2)
+    assert len(pts) == box.size
 
 
 @pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (2, 3)])
 def test_downset_partition_bijection(n, d):
     box = GridBox(n, d)
-    seen = set()
-    for s in all_downsets(box):
-        a = downset_to_partition(s)
-        assert a.shape == (n,) * (d - 1)
-        assert a.bound == n
-        assert partition_to_downset(a).members == s.members
-        seen.add(a.entries)
-    # distinct down-sets give distinct profiles: it is a bijection
-    assert len(seen) == len(all_downsets(box))
-
-
-def test_partition_to_downset_needs_cube():
-    a = HyperPartition((3,), 2, (2, 1, 0))
-    with pytest.raises(ValueError, match="shape"):
-        partition_to_downset(a)
+    downsets = all_downsets(box)
+    profiles = set()
+    for s in downsets:
+        heights = {idx: 0 for idx in product(range(1, n + 1), repeat=d - 1)}
+        for p in s:
+            heights[p[:-1]] = max(heights[p[:-1]], p[-1])
+        # the heights decrease along every axis and give s back
+        for idx, h in heights.items():
+            for t, c in enumerate(idx):
+                if c > 1:
+                    assert heights[idx[:t] + (c - 1,) + idx[t + 1 :]] >= h
+        assert {idx + (z,) for idx, h in heights.items() for z in range(1, h + 1)} == s
+        profiles.add(tuple(heights.values()))
+    # distinct down-sets give distinct profiles, and every array is reached
+    assert len(profiles) == len(downsets) == brute_box_partitions((n,) * (d - 1), n)
+    assert count_downsets(box) == len(downsets)
 
 
 @pytest.mark.parametrize("n,d", [(2, 2), (2, 3), (3, 2)])
 def test_maximal_closure_roundtrip(n, d):
     box = GridBox(n, d)
+    points = box.points()
+    antichains = set()
     for s in all_downsets(box):
-        a = maximal_elements(s)
-        assert downset_closure(a).members == s.members
-
-
-def test_downset_json_roundtrip():
-    box = GridBox(3, 2)
-    s = DownSet(box, frozenset({(1, 1), (1, 2), (2, 1), (1, 3)}))
-    data = downset_to_json(s)
-    assert data == sorted(data)
-    assert downset_from_json(data, box).members == s.members
-
-
-@given(st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=3))
-def test_closure_of_single_point_is_principal(x, y):
-    box = GridBox(3, 2)
-    a = Antichain(box, frozenset({(x, y)}))
-    s = downset_closure(a)
-    assert len(s) == x * y
-    assert all(dominates(p, (x, y)) for p in s.members)
+        top = frozenset(p for p in s if not any(p != x and dominates(p, x) for x in s))
+        assert not any(x != y and dominates(x, y) for x in top for y in top)
+        assert {p for p in points if any(dominates(p, x) for x in top)} == s
+        antichains.add(top)
+    assert len(antichains) == count_antichains_exhaustive(box)

@@ -17,6 +17,7 @@ from monopath.paths import (
     LabelEscape,
     MonotonePath,
     _extract_collision_path,
+    _label_levels,
     downset_labels,
     injectivity_certificate,
     label_vectors,
@@ -268,6 +269,20 @@ def test_downset_labels_are_ideals():
                 i = (rest & -rest).bit_length() - 1
                 assert pred[i] & ~mask == 0
                 rest &= rest - 1
+
+
+def test_stored_labels_are_paid_for():
+    # one color on N = k + 1 vertices reaches every label level; a tuple that
+    # starts at vertex 0 has the empty label and costs nothing, so storing
+    # it would let the tables outgrow the budget
+    k = 12
+    col = EdgeColoring(k=k, q=1, N=k + 1, colors=[1] * (k + 1))
+    levels = _label_levels(col, 5, 1, WorkMeter(10**7))
+    stored = [t for j in range(1, k - 1) for t in levels[j]]
+    assert stored and all(t[0] > 0 for t in stored)
+    labs = downset_labels(col, 5, 3)
+    assert list(labs) == list(combinations(range(k + 1), 3))
+    assert labs[(0, 1, 2)] == 0 and all(labs[t] for t in labs if t[0])
 
 
 def test_downset_labels_escape():

@@ -32,7 +32,7 @@ def test_colex_primary_key_is_last_vertex():
     assert lasts == sorted(lasts)
 
 
-@given(st.integers(min_value=0, max_value=10), st.integers(min_value=2, max_value=6))
+@given(st.integers(min_value=0, max_value=10), st.integers(min_value=2, max_value=12))
 def test_colex_windows_match_ranks(n, k):
     index = colex_windows(n, k)
     windows = list(subsets_colex(n, k - 1))
@@ -43,3 +43,24 @@ def test_colex_windows_match_ranks(n, k):
             assert colex_rank((a,) + b) == edge0 + a
             assert colex_rank((a,) + b[:-1]) == front0 + a
     assert sum(m for _, _, m in index) == comb(n, k)
+
+
+def test_enumeration_deeper_than_recursion_limit():
+    # one subset per left-out vertex, in colex order: the last one left out first
+    seq = list(subsets_colex(1501, 1500))
+    assert len(seq) == 1501
+    assert seq[0] == tuple(range(1500)) and seq[-1] == tuple(range(1, 1501))
+    assert all(len(t) == 1500 for t in seq)
+
+
+def test_colex_windows_wide_k_stay_small():
+    # the windows of a 35-vertex 34-uniform hypergraph are its 595 vertex
+    # pairs left out; no list may grow past that on the way
+    index = colex_windows(35, 34)
+    assert len(index) == comb(35, 33)
+    for (edge0, front0, m), b in zip(index, subsets_colex(35, 33)):
+        assert m == b[0]
+        for a in range(m):
+            assert colex_rank((a,) + b) == edge0 + a
+            assert colex_rank((a,) + b[:-1]) == front0 + a
+    assert colex_windows(5, 10**9) == []
