@@ -27,6 +27,16 @@ numbers:
 
 Colors are stored 1-based in a flat byte array indexed by the colex rank of
 the sorted edge, which gives O(1) lookup and bit-exact files.
+
+The two hypergraph builds never follow an edge on its own.  Each tabulates
+its pairwise step once (first differences of the partition arrays; delta at
+every universe level, and the first rising coordinate of grid points).  The
+edges (a,) + b with the same back window b are consecutive in colex order,
+and b alone fixes a map from one table entry of the pair (a, b[0]) to the
+edge's color, so a window's colors are one lookup each.  Windows that fix
+the same map share it.  Units pay for the edges, every table cell, and each
+distinct map, all before they are built, so no table grows faster than the
+budget.
 """
 
 from __future__ import annotations
@@ -36,7 +46,7 @@ import os
 import random
 from array import array
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 from math import comb
 
 from .budget import meter
@@ -145,9 +155,16 @@ class EdgeColoring:
         )
 
     def save(self, path) -> None:
+        """Write the JSON object and a newline, through a temporary file.
+
+        ``json.dumps`` runs the C encoder, which ``json.dump`` never uses: it
+        encodes chunk by chunk in Python to stream into the file.  The bytes
+        are the same, and a file of millions of colors is written about four
+        times faster.
+        """
         tmp = f"{path}.tmp"
         with open(tmp, "w") as fh:
-            json.dump(self.to_json_dict(), fh, separators=(",", ":"))
+            fh.write(json.dumps(self.to_json_dict(), separators=(",", ":")))
             fh.write("\n")
         os.replace(tmp, path)
 
@@ -196,10 +213,16 @@ def color_graph_lower(q: int, n: int, *, budget: int | None = None) -> EdgeColor
 
 
 def _monotone_arrays(shape: tuple[int, ...], bound: int, wm) -> list[tuple[int, ...]]:
-    """All weakly decreasing arrays, generated in lex order of flat entries."""
+    """All weakly decreasing arrays, generated in lex order of flat entries.
+
+    Units: one per cell, paid before the per-cell offset lists are built, and
+    one per cell of every array emitted, which covers both the cells the
+    odometer refills and the array's copy into the output.
+    """
     cells = 1
     for s in shape:
         cells *= s
+    wm.charge(cells)
     strides = []
     acc = 1
     for s in reversed(shape):
@@ -217,6 +240,7 @@ def _monotone_arrays(shape: tuple[int, ...], bound: int, wm) -> list[tuple[int, 
     # raise the last cell still below its cap
     start = 0
     while True:
+        wm.charge(cells)
         for flat in range(start, cells):
             cap = bound
             for off in backs[flat]:
@@ -224,7 +248,6 @@ def _monotone_arrays(shape: tuple[int, ...], bound: int, wm) -> list[tuple[int, 
                     cap = entries[flat - off]
             caps[flat] = cap
             entries[flat] = 0
-        wm.charge()
         out.append(tuple(entries))
         flat = cells - 1
         while flat >= 0 and entries[flat] == caps[flat]:
@@ -233,6 +256,30 @@ def _monotone_arrays(shape: tuple[int, ...], bound: int, wm) -> list[tuple[int, 
             return out
         entries[flat] += 1
         start = flat + 1
+
+
+def _color_windows(big: int, k: int, lefts: list, key_of, build_map, wm) -> array:
+    """Colors of all k-subsets of range(big) in colex order, one back window
+    b = (v1, ..., v_{k-1}) at a time.
+
+    ``lefts[v1]`` lists one pairwise-table entry x per first vertex a < v1,
+    and the edge (a,) + b gets ``f[x]``, where ``f`` is the window's map:
+    ``build_map(key_of(b))``, built and paid for once per distinct key.
+    """
+    colors = array("B")
+    extend = colors.extend
+    maps: dict = {}
+    for b in subsets_colex(big, k - 1):
+        if not b[0]:
+            continue  # no vertex comes before the window
+        key = key_of(b)
+        f = maps.get(key)
+        if f is None:
+            f = maps[key] = build_map(key)
+        extend(map(f.__getitem__, lefts[b[0]]))
+    if b"\0" in colors.tobytes():
+        raise AssertionError("delta chain lost non-containment; no rising coordinate")
+    return colors
 
 
 def color_3uniform_lower(
@@ -246,6 +293,14 @@ def color_3uniform_lower(
 
     Square case: ``n`` bounds every coordinate.  Rectangular case: ``bounds``
     gives (n_1, ..., n_q) and color i admits no monotone path of length n_i.
+
+    The build tabulates the first differing flat position pd[j][i] of every
+    vertex pair i < j, each row a running minimum over the differences of
+    neighbours in the sorted vertex list.  The back window (b, c) fixes
+    pd[c][b], and that position alone maps pd[b][a] to the color of the edge
+    (a, b, c): one map per distinct position, over all positions.  Units:
+    one per cell while the vertices are generated (see ``_monotone_arrays``),
+    one per edge, one per cell of ``pd``, and one per position for each map.
     """
     if q < 2:
         raise ValueError("need q >= 2 colors")
@@ -263,39 +318,25 @@ def color_3uniform_lower(
     big = len(verts)
     wm.charge(comb(big, 3))
 
-    # first differing flat position for every vertex pair
-    def first_diff(a: tuple[int, ...], b: tuple[int, ...]) -> int:
-        for pos, (x, y) in enumerate(zip(a, b)):
-            if x != y:
-                return pos
-        raise AssertionError("vertex list has duplicates")
+    # sorted vertices first differ at the minimum position over the
+    # neighbouring pairs between them
+    wm.charge(comb(big, 2))
+    steps = [
+        next(pos for pos, (x, y) in enumerate(zip(u, v)) if x != y)
+        for u, v in zip(verts, verts[1:])
+    ]
+    pd = [list(accumulate(steps[j - 1 :: -1], min))[::-1] if j else [] for j in range(big)]
+    idx_tuples = list(product(*(range(1, s + 1) for s in shape)))
 
-    pd: list[list[int]] = [[first_diff(verts[i], vj) for i in range(j)] for j, vj in enumerate(verts)]
-    colors = array("B")
-    if q == 2:
-        # one index axis: compare scalar positions directly
-        for c in range(big):
-            pdc = pd[c]
-            for b in range(c):
-                d_bc = pdc[b]
-                pdb = pd[b]
-                for a in range(b):
-                    colors.append(1 if d_bc > pdb[a] else 2)
-    else:
-        idx_tuples = list(product(*(range(1, s + 1) for s in shape)))
-        for c in range(big):
-            pdc = pd[c]
-            for b in range(c):
-                d_bc = idx_tuples[pdc[b]]
-                pdb = pd[b]
-                for a in range(b):
-                    d_ab = idx_tuples[pdb[a]]
-                    for t in range(q - 1):
-                        if d_bc[t] > d_ab[t]:
-                            colors.append(t + 1)
-                            break
-                    else:
-                        colors.append(q)
+    def window_map(p: int) -> list[int]:
+        wm.charge(len(idx_tuples))
+        d_bc = idx_tuples[p]
+        return [
+            next((t + 1 for t in range(q - 1) if d_bc[t] > d_ab[t]), q)
+            for d_ab in idx_tuples
+        ]
+
+    colors = _color_windows(big, 3, pd, lambda b: pd[b[1]][b[0]], window_map, wm)
     nested = [_nest(shape, v) for v in verts]
     params = {"q": q, "bounds": list(bounds)}
     if bounds == (bounds[0],) * q:
@@ -315,6 +356,32 @@ def _nest(shape: tuple[int, ...], flat: tuple[int, ...]):
     return [_nest(shape[1:], flat[i * stride : (i + 1) * stride]) for i in range(shape[0])]
 
 
+def _delta_columns(uni, wm, square: bool) -> list[list[int]]:
+    """cols[j][i] = index in the parent level of delta(els[i], els[j]).
+
+    ``square`` tabulates every ordered pair, with -1 where delta is undefined;
+    each column ends with -1 and one last column is all -1, so an undefined
+    index stays undefined through every later lookup.  Otherwise only i < j,
+    where the universe order, which extends containment, makes delta
+    defined.  One unit per pair, paid first.
+    """
+    els = uni.elements
+    size = len(els)
+    wm.charge(size * size if square else comb(size, 2))
+    cols = []
+    for j, b in enumerate(els):
+        col = []
+        for a in els if square else els[:j]:
+            diff = b & ~a
+            col.append((diff & -diff).bit_length() - 1 if diff else -1)
+        if square:
+            col.append(-1)
+        cols.append(col)
+    if square:
+        cols.append([-1] * (size + 1))
+    return cols
+
+
 def color_kuniform_lower(
     k: int, n: int, d: int = 2, *, budget: int | None = None
 ) -> EdgeColoring:
@@ -322,6 +389,16 @@ def color_kuniform_lower(
 
     Vertices are the order-k structures over [n]^d in universe order; colors
     are the d grid coordinates.
+
+    The build tabulates, level by level, the parent index of delta for the
+    pairs its chains meet: the top level's ascending pairs, every ordered
+    pair below it (a reduced chain need not ascend), and the first rising
+    coordinate of every ordered pair of grid points.  Reducing a back window
+    b = (v1, ..., v_{k-1}) once fixes the right-hand element of the first
+    pair at each lower level, and so a map from x = delta(v0, v1) to the
+    color of the edge (v0,) + b.  Maps are shared by the windows with the
+    same right-hand elements.  Units (besides the universe's own): one per
+    edge, one per table cell, and one per level-(k-1) element for each map.
     """
     if k < 3:
         raise ValueError("need k >= 3")
@@ -331,24 +408,36 @@ def color_kuniform_lower(
     colors = array("B")
     if big >= k:
         wm.charge(comb(big, k))
-        els = uni.elements
-        for edge in subsets_colex(big, k):
-            chain = [els[i] for i in edge]
-            level = uni
-            while len(chain) > 2:
-                chain = [level.delta(a, b) for a, b in zip(chain, chain[1:])]
-                level = level.parent
-            x, y = chain
-            if level.k != 2:
-                raise AssertionError("delta reduction should end on grid points")
-            for t in range(d):
-                if x[t] < y[t]:
-                    colors.append(t + 1)
-                    break
-            else:
-                raise AssertionError(
-                    "delta chain lost non-containment; no rising coordinate"
-                )
+        ups = _delta_columns(uni, wm, square=False)
+        lower = []  # levels k-1 down to 3
+        level = uni.parent
+        while level.k > 2:
+            lower.append(_delta_columns(level, wm, square=True))
+            level = level.parent
+        # color 0 where no coordinate rises, and for an undefined index
+        points = level.elements
+        wm.charge(len(points) ** 2)
+        rises = [
+            [next((t + 1 for t in range(d) if x[t] < y[t]), 0) for x in points] + [0]
+            for y in points
+        ] + [[0] * (len(points) + 1)]
+
+        def key_of(b: tuple[int, ...]) -> tuple[int, ...]:
+            chain = [ups[y][x] for x, y in zip(b, b[1:])]
+            key = [chain[0]]
+            for cols in lower:
+                chain = [cols[y][x] for x, y in zip(chain, chain[1:])]
+                key.append(chain[0])
+            return tuple(key)
+
+        def window_map(key: tuple[int, ...]) -> list[int]:
+            wm.charge(uni.parent.size)
+            f = range(uni.parent.size + 1)
+            for cols, r in zip(lower, key):
+                f = map(cols[r].__getitem__, f)
+            return list(map(rises[key[-1]].__getitem__, f))
+
+        colors = _color_windows(big, k, ups, key_of, window_map, wm)
     return EdgeColoring(
         k=k,
         q=d,

@@ -75,10 +75,15 @@ def validate_path(coloring: EdgeColoring, path: MonotonePath) -> bool:
 
 @dataclass(frozen=True)
 class PathScan:
-    """Per-color maxima (and witnesses) of longest_mono."""
+    """Per-color maxima (and witnesses) of longest_mono.
+
+    ``forward`` keeps the forward sweep's L_c tables, so the labels of the
+    same coloring are read off them instead of a second sweep.
+    """
 
     per_color_max: dict[int, int]
     witnesses: dict[int, MonotonePath | None] | None = None
+    forward: list | None = field(default=None, compare=False, repr=False)
 
     @property
     def overall_max(self) -> int:
@@ -148,7 +153,7 @@ def longest_mono(
     fwd = _sweep(coloring, windows, wm, reverse=False)
     maxima = {c: max(fwd[c], default=0) for c in range(1, q + 1)}
     if not want_witnesses:
-        return PathScan(per_color_max=maxima)
+        return PathScan(per_color_max=maxima, forward=fwd)
     rev = _sweep(coloring, windows, wm, reverse=True)
     wits = {
         c: (
@@ -158,21 +163,30 @@ def longest_mono(
         )
         for c in range(1, q + 1)
     }
-    return PathScan(per_color_max=maxima, witnesses=wits)
+    return PathScan(per_color_max=maxima, witnesses=wits, forward=fwd)
 
 
 def label_vectors(
-    coloring: EdgeColoring, *, budget: int | None = None
+    coloring: EdgeColoring, *, budget: int | None = None, forward: list | None = None
 ) -> dict[tuple[int, ...], tuple[int, ...]]:
-    """C(w) = (1 + L_1(w), ..., 1 + L_q(w)) for every (k-1)-tuple w, in colex order."""
+    """C(w) = (1 + L_1(w), ..., 1 + L_q(w)) for every (k-1)-tuple w, in colex order.
+
+    ``forward``, the forward tables of a ``longest_mono`` scan of this
+    coloring, saves the sweep.  They are billed as the sweep that made them,
+    unit for unit, the way a memo replay bills a stored result, so the budget
+    runs out at the same point either way.
+    """
     if coloring.k < 2:
         raise ValueError("label vectors need k >= 2")
     k, q, big = coloring.k, coloring.q, coloring.N
     wm = meter(budget, f"label vectors on {coloring.num_edges} edges")
     wm.charge(comb(big, k - 1))
-    fwd = _sweep(coloring, colex_windows(big, k), wm, reverse=False)
+    if forward is None:
+        forward = _sweep(coloring, colex_windows(big, k), wm, reverse=False)
+    else:
+        wm.charge(len(coloring.colors))
     return {
-        w: tuple(fwd[c][i] + 1 for c in range(1, q + 1))
+        w: tuple(forward[c][i] + 1 for c in range(1, q + 1))
         for i, w in enumerate(subsets_colex(big, k - 1))
     }
 
@@ -189,7 +203,7 @@ class LabelEscape(ValueError):
 
 
 def _label_levels(
-    coloring: EdgeColoring, n: int, r: int, budget: int | None
+    coloring: EdgeColoring, n: int, r: int, budget: int | None, forward: list | None = None
 ) -> dict[int, dict]:
     """Down-set label tables for tuple sizes r..k-1, keyed by size.
 
@@ -198,14 +212,15 @@ def _label_levels(
     universe, stored as masks over the order-(k-j) one).  Below size k-1 a
     tuple that starts at vertex 0 has the empty label 0 and costs no unit;
     it is left out, so every stored label is paid for and the tables grow
-    no faster than the budget.  Read them with ``.get(t, 0)``.
+    no faster than the budget.  Read them with ``.get(t, 0)``.  ``forward``
+    goes to ``label_vectors``.
     """
     k, q, big = coloring.k, coloring.q, coloring.N
     if not 1 <= r <= k - 1:
         raise ValueError(f"tuple size must lie in 1..{k - 1}, got {r}")
     if n < 1:
         raise ValueError("need n >= 1")
-    base = label_vectors(coloring, budget=budget)
+    base = label_vectors(coloring, budget=budget, forward=forward)
     for w, lab in base.items():
         for c, entry in enumerate(lab, start=1):
             if entry > n:
@@ -333,7 +348,7 @@ def injectivity_certificate(
     for c in sorted(scan.per_color_max):
         if scan.per_color_max[c] >= n:
             return Certificate(status="path", path=scan.witnesses[c], scan=scan)
-    levels = _label_levels(coloring, n, 1, budget)
+    levels = _label_levels(coloring, n, 1, budget, scan.forward)
     seen: dict = {}
     for v in range(coloring.N):
         lab = levels[1].get((v,), 0)

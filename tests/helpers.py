@@ -10,16 +10,22 @@ references: ``tuple_box_partitions``, the frontier DP with a tuple window
 and a charge per unit, for the packed-window DP in
 :mod:`monopath.counting`, and ``dict_longest_mono``, the path DP over dicts
 keyed by window tuples, for the flat window-rank sweeps in
-:mod:`monopath.paths`.
+:mod:`monopath.paths`.  The extremal colorings have references too, for
+the builds in :mod:`monopath.colorings` that color a whole back window from
+pairwise tables at once: ``delta_chain_colors`` reduces every edge's delta
+chain on its own, and ``first_difference_colors`` compares first
+differences edge by edge.
 """
 
 from __future__ import annotations
 
+from array import array
 from itertools import combinations, product
 from math import comb, prod
 
 from monopath.budget import meter
 from monopath.counting import GridBox
+from monopath.universes import build_universe
 
 
 def brute_box_partitions(shape: tuple[int, ...], bound: int) -> int:
@@ -335,3 +341,69 @@ def dict_pred_path(coloring, t: tuple[int, ...]) -> tuple[int, ...]:
         w = preds[w]
         seq.insert(0, w[0])
     return tuple(seq) + (t[-1],)
+
+
+def brute_monotone_arrays(shape: tuple[int, ...], bound: int) -> list[tuple[int, ...]]:
+    """Flat arrays over ``shape`` with values 0..bound weakly decreasing per
+    axis, in lexicographic order, by filtering every value assignment."""
+    cells = list(product(*(range(s) for s in shape)))
+    index = {c: i for i, c in enumerate(cells)}
+    steps = [(index[c], index[c[:t] + (c[t] - 1,) + c[t + 1 :]])
+             for c in cells for t in range(len(shape)) if c[t] > 0]
+    return [values for values in product(range(bound + 1), repeat=len(cells))
+            if all(values[i] <= values[j] for i, j in steps)]
+
+
+def first_difference_colors(q: int, bounds: tuple[int, ...]) -> array:
+    """The 3-uniform coloring edge by edge: the edge A < B < C gets the first
+    coordinate where the index of delta(B, C) exceeds that of delta(A, B),
+    else q."""
+    shape = tuple(bounds[: q - 1])
+    verts = brute_monotone_arrays(shape, bounds[q - 1])
+    idx_tuples = list(product(*(range(1, s + 1) for s in shape)))
+
+    def first_diff(a, b):
+        return next(pos for pos, (x, y) in enumerate(zip(a, b)) if x != y)
+
+    colors = array("B")
+    for a, b, c in sorted(combinations(range(len(verts)), 3), key=lambda e: e[::-1]):
+        d_ab = idx_tuples[first_diff(verts[a], verts[b])]
+        d_bc = idx_tuples[first_diff(verts[b], verts[c])]
+        colors.append(next((t + 1 for t in range(q - 1) if d_bc[t] > d_ab[t]), q))
+    return colors
+
+
+def delta_chain_colors(k: int, n: int, d: int = 2) -> array:
+    """The k-uniform coloring edge by edge: reduce the edge's k structures by
+    ``Universe.delta`` k-2 times, then take the first coordinate where the
+    left grid point is below the right one."""
+    uni = build_universe(k, d, n)
+    els = uni.elements
+    colors = array("B")
+    for edge in sorted(combinations(range(uni.size), k), key=lambda e: e[::-1]):
+        chain = [els[i] for i in edge]
+        level = uni
+        while len(chain) > 2:
+            chain = [level.delta(a, b) for a, b in zip(chain, chain[1:])]
+            level = level.parent
+        x, y = chain
+        colors.append(next(t + 1 for t in range(d) if x[t] < y[t]))
+    return colors
+
+
+def window_keys(k: int, n: int, d: int = 2) -> set[tuple]:
+    """The distinct right-hand elements, one per level, of the reduced delta
+    chain of every back window with a vertex before it: the per-window maps
+    the k-uniform build pays for."""
+    uni = build_universe(k, d, n)
+    els = uni.elements
+    keys = set()
+    for window in combinations(range(1, uni.size), k - 1):
+        chain = [els[i] for i in window]
+        level, key = uni, []
+        while len(chain) > 1:
+            chain = [level.delta(a, b) for a, b in zip(chain, chain[1:])]
+            level = level.parent
+            key.append(chain[0])
+        keys.add(tuple(key))
+    return keys

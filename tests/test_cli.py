@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import time
 from math import comb
 
 import pytest
@@ -304,6 +305,19 @@ def test_construct_one_long_bound_ends_on_budget(capsys, tmp_path):
             "--bounds", "1200,1", "--out", str(tmp_path / "c.json")]
     assert main(argv) == 3
     assert capsys.readouterr().err.startswith("budget exhausted: 3-uniform coloring")
+
+
+def test_construct_long_bound_pays_per_cell(capsys, tmp_path):
+    # C(1202, 2) arrays of 1200 cells each: paid per array, the first 10^5
+    # of them take seconds to build
+    argv = ["construct", "--family", "3uniform", "--q", "2", "--bounds", "1200,2",
+            "--budget", "100000", "--out", str(tmp_path / "c.json")]
+    start = time.perf_counter()
+    assert main(argv) == 3
+    assert time.perf_counter() - start < 5
+    assert capsys.readouterr().err == (
+        "budget exhausted: 3-uniform coloring with bounds (1200, 2): "
+        "exceeded work budget of 100000 units\n")
 
 
 def test_coloring_length_checked_without_the_binomial(tmp_path, capsys):

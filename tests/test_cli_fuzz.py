@@ -4,7 +4,9 @@ Every run must end with an exit code in {0, 1, 2, 3} and raise nothing, and
 a repeat must print exactly what the first run printed: the process-wide
 memo may answer it, but never differently.  Budgets stay at or below 10^5
 units, so each run ends quickly.  Besides small and malformed inputs, the
-strategies draw inputs whose size once reached a crash: a 3-uniform
+strategies draw the extremal builds over their parameters (k-uniform with
+k in 3..6, d in 1..3 and small n; 3-uniform with up to four colors and
+rectangular bounds) and inputs whose size once reached a crash: a 3-uniform
 construction with one bound past the recursion limit, valid coloring files
 with N = k + 1 and k up to past the recursion limit, and coloring files whose
 edge count C(N, k) has tens of thousands of digits.  Each ``main`` call gets
@@ -62,6 +64,20 @@ def _long_bounds(draw):
     return ["--q", str(len(bounds)), "--bounds", ",".join(map(str, bounds))]
 
 
+@st.composite
+def _kuniform(draw):
+    """``construct --family kuniform`` with k in 3..6, d in 1..3 and small n."""
+    k, d, n = draw(_ints(3, 6)), draw(_ints(1, 3)), draw(_ints(1, 3))
+    return ["--k", str(k), "--d", str(d), "--n", str(n)]
+
+
+@st.composite
+def _rect_bounds(draw):
+    """``--q`` up to 4 and ``--bounds``, one small bound per color."""
+    bounds = draw(st.lists(_ints(1, 4), min_size=2, max_size=4))
+    return ["--q", str(len(bounds)), "--bounds", ",".join(map(str, bounds))]
+
+
 COMMANDS = st.one_of(
     _command(_word("count --kind partitions", "count --kind rho", "count --kind dedekind",
                    "count --kind rank-profile"),
@@ -76,6 +92,10 @@ COMMANDS = st.one_of(
              _flag("--bounds", BOUNDS_LIST), _flag("--seed"),
              st.just(["--out", f"{TMP}/c.json"])),
     _command(_word("construct --family 3uniform"), _long_bounds(),
+             st.just(["--out", f"{TMP}/c.json"])),
+    _command(_word("construct --family kuniform"), _kuniform(),
+             st.just(["--out", f"{TMP}/c.json"])),
+    _command(_word("construct --family 3uniform"), _rect_bounds(),
              st.just(["--out", f"{TMP}/c.json"])),
     _command(st.just(["verify"]), st.sampled_from(FILES).map(lambda f: ["--file", f]),
              _ints(0, 5).map(lambda n: ["--n", str(n)])),

@@ -1,13 +1,22 @@
+import io
 import json
 from itertools import combinations
+from math import comb, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monopath.budget import BudgetExceeded
+from helpers import (
+    brute_monotone_arrays,
+    delta_chain_colors,
+    first_difference_colors,
+    window_keys,
+)
+from monopath.budget import BudgetExceeded, WorkMeter, meter
 from monopath.colorings import (
     EdgeColoring,
+    _monotone_arrays,
     check_transitivity_witness,
     color_3uniform_lower,
     color_graph_lower,
@@ -17,6 +26,7 @@ from monopath.colorings import (
 )
 from monopath.counting import p1_closed, macmahon, count_rho
 from monopath.subsets import colex_rank, subsets_colex
+from monopath.universes import build_universe
 
 # --- container behaviour ------------------------------------------------------
 
@@ -62,6 +72,24 @@ def test_json_roundtrip(tmp_path):
     assert back.labels == col.labels
     raw = json.loads(path.read_text())
     assert raw["encoding"] == "colex-rank-array"
+
+
+@pytest.mark.parametrize("make", [
+    lambda: color_graph_lower(3, 3),
+    lambda: color_3uniform_lower(3, bounds=(2, 1, 3)),
+    lambda: color_kuniform_lower(4, 2, d=2),
+    lambda: random_coloring(4, 3, 9, seed=11),
+])
+def test_save_writes_the_streamed_bytes(tmp_path, make):
+    col = make()
+    path = tmp_path / "c.json"
+    col.save(path)
+    fh = io.StringIO()
+    json.dump(col.to_json_dict(), fh, separators=(",", ":"))
+    assert path.read_bytes() == (fh.getvalue() + "\n").encode()
+    back = EdgeColoring.load(path)
+    assert back == col
+    assert back.meta == col.meta
 
 
 def test_load_rejects_malformed(tmp_path):
@@ -139,6 +167,59 @@ def test_3uniform_rectangular_bounds():
         color_3uniform_lower(2)
 
 
+# (q, bounds): square, rectangular, and one-long-axis shapes
+THREE_UNIFORM_CASES = [
+    (2, (2, 2)), (2, (3, 3)), (2, (4, 4)), (2, (2, 4)), (2, (4, 2)),
+    (2, (5, 1)), (2, (1, 5)), (3, (2, 2, 2)), (3, (3, 1, 2)), (3, (4, 1, 1)),
+    (3, (1, 1, 4)), (3, (2, 2, 1)), (4, (1, 2, 1, 2)), (4, (2, 1, 1, 2)),
+    (4, (1, 1, 1, 3)), (4, (2, 1, 1, 1)),
+]
+
+
+@pytest.mark.parametrize("q,bounds", THREE_UNIFORM_CASES)
+def test_3uniform_matches_edge_by_edge_reference(q, bounds):
+    col = color_3uniform_lower(q, bounds=bounds)
+    assert col.colors.tobytes() == first_difference_colors(q, bounds).tobytes()
+
+
+def _3uniform_units(q, bounds) -> int:
+    """Cells while generating, edges, ``pd`` cells, and one map per distinct
+    first-difference position of a back window with a vertex before it."""
+    shape = bounds[: q - 1]
+    cells = prod(shape)
+    verts = brute_monotone_arrays(shape, bounds[q - 1])
+    big = len(verts)
+
+    def first_diff(a, b):
+        return next(pos for pos, (x, y) in enumerate(zip(a, b)) if x != y)
+
+    keys = {first_diff(verts[b], verts[c]) for b, c in combinations(range(1, big), 2)}
+    return cells * (1 + big) + comb(big, 3) + comb(big, 2) + len(keys) * cells
+
+
+@pytest.mark.parametrize("q,bounds", [(2, (3, 3)), (3, (3, 1, 2)), (4, (1, 2, 1, 2)), (2, (1, 4))])
+def test_3uniform_units_per_cell(q, bounds):
+    total = _3uniform_units(q, bounds)
+    wm = WorkMeter(limit=total)
+    color_3uniform_lower(q, bounds=bounds, budget=wm)
+    assert wm.used == total
+    color_3uniform_lower(q, bounds=bounds, budget=total + 1)
+    with pytest.raises(BudgetExceeded) as exc:
+        color_3uniform_lower(q, bounds=bounds, budget=total - 1)
+    assert str(exc.value) == (
+        f"3-uniform coloring with bounds {bounds}: exceeded work budget of {total - 1} units")
+
+
+def test_monotone_arrays_pay_per_cell():
+    # 1201 arrays of 1200 cells each; at one unit per array all of them fit
+    with pytest.raises(BudgetExceeded):
+        _monotone_arrays((1200,), 1, meter(5000, "arrays"))
+    wm = WorkMeter(limit=10**6)
+    arrays = _monotone_arrays((3, 2), 2, wm)
+    assert arrays == brute_monotone_arrays((3, 2), 2)
+    assert wm.used == 6 * (1 + len(arrays))
+
+
 def test_3uniform_budget():
     with pytest.raises(BudgetExceeded):
         color_3uniform_lower(3, 3, budget=10_000)
@@ -173,6 +254,50 @@ def test_kuniform_k3_equals_3uniform(n):
     b = color_3uniform_lower(2, n)
     assert a.N == b.N
     assert a.colors == b.colors
+
+
+# (k, n, d) with at most a few thousand edges
+K_UNIFORM_CASES = [
+    (3, 2, 1), (3, 4, 1), (3, 2, 2), (3, 3, 2), (3, 2, 3), (4, 3, 1), (4, 2, 2),
+    (5, 2, 1), (5, 3, 1), (5, 2, 2), (6, 2, 2), (6, 3, 1), (4, 1, 2), (4, 2, 1),
+]
+
+
+@pytest.mark.parametrize("k,n,d", K_UNIFORM_CASES)
+def test_kuniform_matches_delta_chain_reference(k, n, d):
+    col = color_kuniform_lower(k, n, d)
+    assert col.colors.tobytes() == delta_chain_colors(k, n, d).tobytes()
+
+
+def _kuniform_units(k, n, d) -> int:
+    """Edges, the top level's ascending pairs, every ordered pair below it
+    down to the grid, and one map over level k-1 per distinct window key."""
+    uni = build_universe(k, d, n)
+    sizes = []
+    level = uni.parent
+    while level is not None:
+        sizes.append(level.size)
+        level = level.parent
+    big = uni.size
+    return (comb(big, k) + comb(big, 2) + sum(s * s for s in sizes)
+            + len(window_keys(k, n, d)) * sizes[0])
+
+
+@pytest.mark.parametrize("k,n,d", [(3, 3, 2), (4, 2, 2), (5, 2, 2), (6, 2, 2), (3, 2, 3)])
+def test_kuniform_units_per_cell(k, n, d):
+    uni_wm = WorkMeter(limit=10**9)
+    build_universe(k, d, n, budget=uni_wm)
+    total = _kuniform_units(k, n, d)
+    assert uni_wm.used < total
+    wm = WorkMeter(limit=uni_wm.used + total)
+    color_kuniform_lower(k, n, d, budget=wm)
+    assert wm.used == uni_wm.used + total
+    color_kuniform_lower(k, n, d, budget=total)
+    color_kuniform_lower(k, n, d, budget=total + 1)
+    with pytest.raises(BudgetExceeded) as exc:
+        color_kuniform_lower(k, n, d, budget=total - 1)
+    assert str(exc.value) == (
+        f"{k}-uniform coloring over [{n}]^{d}: exceeded work budget of {total - 1} units")
 
 
 def test_kuniform_d_colors():

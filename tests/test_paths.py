@@ -1,9 +1,11 @@
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import monopath.paths as paths
 from monopath.budget import BudgetExceeded, WorkMeter
 from monopath.colorings import (
     EdgeColoring,
@@ -151,6 +153,11 @@ def test_sweeps_match_dict_reference(make):
             assert _witness_vertices(scan) == wits
     wm, ref_wm = WorkMeter(10**9), WorkMeter(10**9)
     assert label_vectors(col, budget=wm) == dict_label_vectors(col, ref_wm)
+    assert wm.used == ref_wm.used
+    # the forward tables of a scan stand in for the sweep, at its units
+    wm, ref_wm = WorkMeter(10**9), WorkMeter(10**9)
+    forward = longest_mono(col, want_witnesses=False).forward
+    assert label_vectors(col, budget=wm, forward=forward) == dict_label_vectors(col, ref_wm)
     assert wm.used == ref_wm.used
 
 
@@ -333,6 +340,63 @@ def test_certificate_on_k4(tmp_path):
     else:
         assert cert.status == "distinct"
         assert longest_mono(col, want_witnesses=False).overall_max < 2
+
+
+CERTIFIED = [
+    pytest.param(lambda: color_3uniform_lower(2, 3), 3, id="3uniform-q2-n3"),
+    pytest.param(lambda: color_3uniform_lower(3, bounds=(2, 1, 2)), 2, id="3uniform-2-1-2"),
+    pytest.param(lambda: color_kuniform_lower(4, 2), 2, id="kuniform-k4-n2"),
+    pytest.param(lambda: color_graph_lower(2, 3), 3, id="graph-q2-n3"),
+]
+
+
+@pytest.mark.parametrize("make,n", CERTIFIED)
+def test_certificate_reads_labels_off_the_scan(monkeypatch, make, n):
+    col = make()
+    sweeps = []
+    sweep = paths._sweep
+
+    def counted(*args, **kwargs):
+        sweeps.append(kwargs["reverse"])
+        return sweep(*args, **kwargs)
+
+    monkeypatch.setattr(paths, "_sweep", counted)
+    wm = WorkMeter(10**9)
+    cert = injectivity_certificate(col, n, budget=wm)
+    assert cert.status == "distinct"
+    assert sweeps == [False, True]
+    # billed as the label sweep it saves: scan, then labels swept afresh
+    scan_wm, label_wm = WorkMeter(10**9), WorkMeter(10**9)
+    longest_mono(col, budget=scan_wm)
+    _label_levels(col, n, 1, label_wm)
+    assert wm.used == scan_wm.used + label_wm.used
+
+
+def _outcome(run, limit):
+    wm = WorkMeter(limit)
+    try:
+        got = run(wm)
+    except BudgetExceeded as exc:
+        got = str(exc)
+    return got, wm.used
+
+
+@pytest.mark.parametrize("make,n", CERTIFIED)
+def test_certificate_runs_out_where_a_fresh_label_sweep_does(make, n):
+    col = make()
+    scan_wm = WorkMeter(10**9)
+    longest_mono(col, budget=scan_wm)
+    # the label stage charges the windows, then the sweep it reads
+    labels = scan_wm.used + comb(col.N, col.k - 1)
+    for limit in (labels - 1, labels, labels + col.num_edges - 1, labels + col.num_edges):
+
+        def fresh(wm):
+            longest_mono(col, budget=wm)
+            _label_levels(col, n, 1, wm)
+            return "distinct"
+
+        got = _outcome(lambda wm: injectivity_certificate(col, n, budget=wm).status, limit)
+        assert got == _outcome(fresh, limit), limit
 
 
 def test_certificate_type_validation():
