@@ -26,7 +26,12 @@ numbers:
   3-uniform rule edge for edge.
 
 Colors are stored 1-based in a flat byte array indexed by the colex rank of
-the sorted edge, which gives O(1) lookup and bit-exact files.
+the sorted edge, which gives O(1) lookup and bit-exact files.  Every pass
+over all the colors treats that array as bytes: the range check deletes the
+allowed bytes and looks for a remainder, and a file's ``colors`` list of
+single digits is written and read as one strided byte slice, the
+comma-separated digits of the compact JSON text (see ``EdgeColoring.save``
+and ``EdgeColoring.load``).
 
 The two hypergraph builds never follow an edge on its own.  Each tabulates
 its pairwise step once (first differences of the partition arrays; delta at
@@ -44,6 +49,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import re
 from array import array
 from dataclasses import dataclass, field
 from itertools import accumulate, combinations, product
@@ -54,6 +60,16 @@ from .subsets import colex_rank, subsets_colex
 from .universes import build_universe
 
 ENCODING = "colex-rank-array"
+
+# the colors 1..9 and the ASCII digits that spell them
+_ONE_TO_NINE = bytes(range(1, 10))
+_TO_DIGIT = bytes.maketrans(_ONE_TO_NINE, b"123456789")
+_FROM_DIGIT = bytes.maketrans(b"123456789", _ONE_TO_NINE)
+# how ``save`` begins a file: k, q and N, then the colors
+_SAVED_HEAD = re.compile(
+    rb'\{"k":\d+,"q":\d+,"N":\d+,"encoding":' + re.escape(json.dumps(ENCODING).encode())
+    + rb',"colors":\['
+)
 
 
 def _binomial_upto(n: int, k: int, cap: int) -> int | None:
@@ -96,7 +112,13 @@ class EdgeColoring:
                 f"expected {shown} colors for N={self.N}, k={self.k}, "
                 f"got {len(self.colors)}"
             )
-        if self.colors and not 1 <= min(self.colors) <= max(self.colors) <= self.q:
+        # delete every allowed byte: anything left is out of range
+        allowed = bytes(range(1, min(self.q, 255) + 1))
+        try:
+            stray = bytes(self.colors).translate(None, allowed)
+        except (TypeError, ValueError):  # a list entry that is no byte
+            stray = True
+        if stray:
             raise ValueError(f"colors must lie in 1..{self.q}")
 
     @property
@@ -118,12 +140,15 @@ class EdgeColoring:
             yield edge, self.colors[rank]
 
     def to_json_dict(self) -> dict:
+        return self._json_fields(list(self.colors))
+
+    def _json_fields(self, colors: list) -> dict:
         out = {
             "k": self.k,
             "q": self.q,
             "N": self.N,
             "encoding": ENCODING,
-            "colors": list(self.colors),
+            "colors": colors,
         }
         if self.labels is not None:
             out["labels"] = self.labels
@@ -133,49 +158,125 @@ class EdgeColoring:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "EdgeColoring":
+        return cls._from_fields(data, None)
+
+    @classmethod
+    def _from_fields(cls, data: dict, colors: array | None) -> "EdgeColoring":
+        """The coloring a parsed file describes.  ``colors``, when given, was
+        read from the file's bytes and stands in for ``data["colors"]``."""
         try:
-            k, q, n_verts = int(data["k"]), int(data["q"]), int(data["N"])
+            k, q, n_verts = (_integer(data, key) for key in ("k", "q", "N"))
             encoding = data["encoding"]
-            colors = data["colors"]
+            listed = data["colors"]
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed coloring object: {exc}") from exc
         if encoding != ENCODING:
             raise ValueError(f"unknown coloring encoding {encoding!r}")
-        try:
-            arr = array("B", colors)
-        except (TypeError, OverflowError) as exc:
-            raise ValueError(f"colors must be small non-negative ints: {exc}") from exc
+        if colors is None:
+            # JSON true is no color, though array() would take it for 1
+            if type(listed) is not list or not set(map(type, listed)) <= {int}:
+                raise ValueError("colors must be a list of small non-negative ints")
+            try:
+                colors = array("B", listed)
+            except OverflowError as exc:
+                raise ValueError(f"colors must be small non-negative ints: {exc}") from exc
         return cls(
             k=k,
             q=q,
             N=n_verts,
-            colors=arr,
+            colors=colors,
             labels=data.get("labels"),
             meta=data.get("meta"),
         )
 
     def save(self, path) -> None:
-        """Write the JSON object and a newline, through a temporary file.
+        """Write compact JSON and a newline, through a temporary file.
 
-        ``json.dumps`` runs the C encoder, which ``json.dump`` never uses: it
-        encodes chunk by chunk in Python to stream into the file.  The bytes
-        are the same, and a file of millions of colors is written about four
-        times faster.
+        The bytes are ``json.dumps(self.to_json_dict(), separators=(",", ":"))``
+        and a newline.  When every color is a single digit, the colors are not
+        listed as ints: ``json.dumps`` encodes the other fields around an
+        empty list, and the colors go in as the color bytes translated to
+        ASCII digits, with a comma between two, filled into one byte array
+        by strided slice assignment.  Otherwise the C encoder writes the
+        whole list.
         """
+        raw = bytes(self.colors)
+        digits = not raw.translate(None, _ONE_TO_NINE)
+        text = json.dumps(self._json_fields([] if digits else list(self.colors)),
+                          separators=(",", ":"))
+        parts = [text.encode()]
+        if digits and raw:
+            cut = text.index('"colors":[') + len('"colors":[')
+            body = bytearray(b",") * (2 * len(raw) - 1)
+            body[::2] = raw.translate(_TO_DIGIT)
+            parts = [text[:cut].encode(), body, text[cut:].encode()]
         tmp = f"{path}.tmp"
-        with open(tmp, "w") as fh:
-            fh.write(json.dumps(self.to_json_dict(), separators=(",", ":")))
-            fh.write("\n")
+        with open(tmp, "wb") as fh:
+            fh.writelines(parts)
+            fh.write(b"\n")
         os.replace(tmp, path)
 
     @classmethod
     def load(cls, path) -> "EdgeColoring":
+        """Read a coloring file.
+
+        A file laid out as ``save`` writes it with single-digit colors, that
+        is ASCII starting with ``{"k":K,"q":Q,"N":N,"encoding":...,"colors":[``,
+        digits 1-9 and commas up to the first "]", and ``"colors"`` nowhere
+        else and no backslash anywhere, has its colors taken as one strided
+        byte slice; ``json.loads`` reads the rest, with an empty list in
+        their place, and the two make the coloring.  Any other file, and one
+        whose rest is no valid JSON, is read by ``json.load`` as a whole, so
+        a file gives the same coloring or the same error either way.
+        """
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        split = _split_saved(raw)
+        if split is not None:
+            text, colors = split
+            try:
+                data = json.loads(text)
+            except json.JSONDecodeError:
+                pass  # reported in the words of the whole file's parse
+            else:
+                return cls._from_fields(data, colors)
         with open(path) as fh:
             try:
                 data = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path} is not valid JSON: {exc}") from exc
         return cls.from_json_dict(data)
+
+
+def _integer(data: dict, key: str) -> int:
+    """``data[key]``, which must be a JSON integer: not a bool, float or string."""
+    value = data[key]
+    if type(value) is not int:
+        raise TypeError(f"{key} must be an integer, not {type(value).__name__}")
+    return value
+
+
+def _split_saved(raw: bytes) -> tuple[str, array] | None:
+    """The file's text with its colors cut out, ``"colors":[]``, and the
+    colors, when ``raw`` has the layout ``EdgeColoring.load`` reads fast;
+    None otherwise.
+
+    With no backslash, a key "colors" is spelled as the one ``"colors"``
+    of the file, the top-level key right after the fixed head, so no other
+    value can take its place.
+    """
+    head = _SAVED_HEAD.match(raw)
+    if head is None or not raw.isascii() or b"\\" in raw or raw.count(b'"colors"') != 1:
+        return None
+    start = head.end()
+    end = raw.find(b"]", start)
+    # "d" or "d,d,...,d": an odd length, or nothing at all
+    if end < 0 or (end - start) % 2 == 0 and end > start:
+        return None
+    digits = raw[start:end:2]
+    if digits.translate(None, b"123456789") or raw[start + 1 : end : 2].translate(None, b","):
+        return None
+    return (raw[:start] + raw[end:]).decode("ascii"), array("B", digits.translate(_FROM_DIGIT))
 
 
 # --- the extremal constructions ------------------------------------------------
@@ -265,9 +366,17 @@ def _color_windows(big: int, k: int, lefts: list, key_of, build_map, wm) -> arra
     ``lefts[v1]`` lists one pairwise-table entry x per first vertex a < v1,
     and the edge (a,) + b gets ``f[x]``, where ``f`` is the window's map:
     ``build_map(key_of(b))``, built and paid for once per distinct key.
+
+    When every entry of ``lefts`` is below 256, each row is kept as bytes and
+    each map as a 256-byte table (only its first 256 entries can be read),
+    so a window's colors are one ``bytes.translate`` of its row.  Otherwise
+    they are one ``f.__getitem__`` per edge.
     """
+    try:
+        rows = [bytes(row) for row in lefts]
+    except ValueError:  # an entry outside 0..255
+        rows = None
     colors = array("B")
-    extend = colors.extend
     maps: dict = {}
     for b in subsets_colex(big, k - 1):
         if not b[0]:
@@ -275,8 +384,14 @@ def _color_windows(big: int, k: int, lefts: list, key_of, build_map, wm) -> arra
         key = key_of(b)
         f = maps.get(key)
         if f is None:
-            f = maps[key] = build_map(key)
-        extend(map(f.__getitem__, lefts[b[0]]))
+            f = build_map(key)
+            if rows is not None:
+                f = bytes(f[:256]).ljust(256, b"\0")
+            maps[key] = f
+        if rows is None:
+            colors.extend(map(f.__getitem__, lefts[b[0]]))
+        else:
+            colors.frombytes(rows[b[0]].translate(f))
     if b"\0" in colors.tobytes():
         raise AssertionError("delta chain lost non-containment; no rising coordinate")
     return colors
@@ -479,22 +594,49 @@ def is_transitive(coloring: EdgeColoring, *, budget: int | None = None):
     A coloring is transitive when, for every k+1 ordered vertices whose two
     consecutive k-windows share a color, all other k-subsets of those
     vertices have that color too.  Returns True, or the first violating
-    (k+1)-tuple in lexicographic order.
+    (k+1)-tuple in lexicographic order.  Units: one per tuple scanned.
+
+    The scan fixes the first k vertices p and runs the last one, v, upward.
+    Every k-subset of p + (v,) other than p keeps v, and its colex rank is a
+    sum fixed by p plus C(v, k); the sums come from binomial tables built
+    before the scan, so a tuple costs a few lookups.  Tuples are paid for
+    in bulk: each run takes what room the budget has left, and a budget
+    that runs out mid-run is charged one unit past its limit, as a unit
+    per tuple would be.
     """
     k, big = coloring.k, coloring.N
     wm = meter(budget, "transitivity scan")
     if big < k + 1:
         return True
-    for tup in combinations(range(big), k + 1):
-        wm.charge()
-        front = coloring.color_of(tup[:k])
-        back = coloring.color_of(tup[1:])
-        if front != back:
-            continue
-        for drop in range(1, k):
-            sub = tup[:drop] + tup[drop + 1 :]
-            if coloring.color_of(sub) != front:
-                return tup
+    colors = coloring.colors
+    # vertex i of a (k+1)-tuple lies in i .. i + span - 1.  Its rank term is
+    # C(x, i + 1) while no vertex before it is dropped, C(x, i) after
+    span = big - k
+    kept = [[comb(i + j, i + 1) for j in range(span)] for i in range(k)]
+    shifted = [[comb(i + j, i) for j in range(span)] for i in range(k + 1)]
+    last = shifted[k]
+    room = wm.limit - wm.used
+    scanned = 0
+    for p in combinations(range(big - 1), k):
+        heads = list(accumulate([kept[i][x - i] for i, x in enumerate(p)], initial=0))
+        lows = [shifted[i][x - i] for i, x in enumerate(p)]
+        tails = list(accumulate(reversed(lows), initial=0))[::-1]
+        front = colors[heads[k]]
+        # p with vertex d dropped, for d = 0 (the back window) and 1..k-1
+        back, *inner = (heads[d] + tails[d + 1] for d in range(k))
+        lo = p[-1] + 1
+        hi = min(big, lo + room - scanned)
+        for v in range(lo, hi):
+            c = last[v - k]
+            if colors[back + c] == front:
+                for base in inner:
+                    if colors[base + c] != front:
+                        wm.charge(scanned + v - lo + 1)
+                        return p + (v,)
+        scanned += hi - lo
+        if hi < big:
+            wm.charge(room + 1)  # the next tuple is one past the budget
+    wm.charge(scanned)
     return True
 
 

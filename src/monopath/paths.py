@@ -37,7 +37,7 @@ from math import comb
 
 from .budget import meter
 from .colorings import EdgeColoring
-from .subsets import colex_rank, colex_windows, subsets_colex
+from .subsets import colex_rank, colex_walk, colex_windows, subsets_colex
 from .universes import Universe, build_universe
 
 
@@ -119,10 +119,19 @@ def _sweep(coloring: EdgeColoring, windows, wm, reverse: bool) -> list:
 
 
 def _lexmin_witness(coloring, color, lmax, rtab: list, wm) -> MonotonePath:
-    """Grow the lex-least path of length lmax from the reverse table R_color."""
+    """Grow the lex-least path of length lmax from the reverse table R_color.
+
+    The start is the lex-least window w with R_color(w) = lmax.  One walk
+    over the windows in rank order finds it, comparing the walk's one list
+    in place and copying a window only when it is a new least.
+    """
     k, big = coloring.k, coloring.N
     colors = coloring.colors
-    w = min(t for t, val in zip(subsets_colex(big, k - 1), rtab) if val == lmax)
+    least = None
+    for val, b in zip(rtab, colex_walk(big, k - 1)):
+        if val == lmax and (least is None or b < least):
+            least = b.copy()
+    w = tuple(least)
     verts = list(w)
     for need in range(lmax - 1, -1, -1):
         for v in range(w[-1] + 1, big):
@@ -143,12 +152,16 @@ def longest_mono(
     """Exact per-color longest monotone path lengths, with lex-least witnesses.
 
     Witnesses are None for colors with no edge at all (maximum 0: any k-1
-    vertices form a trivial path with no edges).
+    vertices form a trivial path with no edges).  Units: one per window, one
+    per edge for each sweep, and one per witness probe.
     """
     if coloring.k < 2:
         raise ValueError("paths need k >= 2")
     q = coloring.q
     wm = meter(budget, f"path DP on {coloring.num_edges} edges")
+    # the window index, each sweep and the witness search walk every window,
+    # and at wide k windows far outnumber edges: one unit each, paid first
+    wm.charge(comb(coloring.N, coloring.k - 1))
     windows = colex_windows(coloring.N, coloring.k)
     fwd = _sweep(coloring, windows, wm, reverse=False)
     maxima = {c: max(fwd[c], default=0) for c in range(1, q + 1)}

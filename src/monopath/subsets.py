@@ -26,7 +26,7 @@ def colex_rank(t: tuple[int, ...]) -> int:
     return sum(comb(v, i + 1) for i, v in enumerate(t))
 
 
-def _colex_walk(n: int, r: int) -> Iterator[list[int]]:
+def colex_walk(n: int, r: int) -> Iterator[list[int]]:
     """Every r-subset of range(n) in colex order, as one list changed in place.
 
     The successor of b raises b[i] for the first i with b[i] + 1 < b[i + 1]
@@ -59,7 +59,7 @@ def _colex_walk(n: int, r: int) -> Iterator[list[int]]:
 
 def subsets_colex(n: int, r: int) -> Iterator[tuple[int, ...]]:
     """All r-subsets of range(n) in colex order (rank order)."""
-    return map(tuple, _colex_walk(n, r))
+    return map(tuple, colex_walk(n, r))
 
 
 def colex_windows(n: int, k: int) -> list[tuple[int, int, int]]:
@@ -80,7 +80,7 @@ def colex_windows(n: int, k: int) -> list[tuple[int, int, int]]:
     out = []
     append = out.append
     edge0 = last = top = 0
-    for b in _colex_walk(n, k - 1):
+    for b in colex_walk(n, k - 1):
         if b[-1] != last:
             last = b[-1]
             top = comb(last, k)

@@ -14,16 +14,23 @@ keyed by window tuples, for the flat window-rank sweeps in
 the builds in :mod:`monopath.colorings` that color a whole back window from
 pairwise tables at once: ``delta_chain_colors`` reduces every edge's delta
 chain on its own, and ``first_difference_colors`` compares first
-differences edge by edge.
+differences edge by edge; ``window_map_colors`` applies a window's map to
+one edge at a time.  ``tuple_transitivity`` is the transitivity scan that
+ranks every window of every tuple, charging a unit per tuple, for the
+bulk-paid scan in :mod:`monopath.colorings`, and ``whole_file_load`` reads
+a coloring file with ``json.load`` alone, for ``EdgeColoring.load``, which
+reads the colors of a saved file as bytes.
 """
 
 from __future__ import annotations
 
+import json
 from array import array
 from itertools import combinations, product
 from math import comb, prod
 
 from monopath.budget import meter
+from monopath.colorings import EdgeColoring
 from monopath.counting import GridBox
 from monopath.universes import build_universe
 
@@ -294,10 +301,11 @@ def _dict_witness(coloring, color, lmax, rvals: dict, wm) -> tuple[int, ...]:
 def dict_longest_mono(coloring, wm, want_witnesses: bool = True):
     """(maxima, witness vertex tuples or None) by the dict-of-tuples path DP.
 
-    Same units as ``longest_mono``: one per edge per sweep, one per witness
-    probe.
+    Same units as ``longest_mono``: one per window, one per edge per sweep,
+    one per witness probe.
     """
     q = coloring.q
+    wm.charge(comb(coloring.N, coloring.k - 1))
     fvals = _dict_forward(coloring, wm)
     maxima = {c: max(fvals[c].values(), default=0) for c in range(1, q + 1)}
     if not want_witnesses:
@@ -407,3 +415,44 @@ def window_keys(k: int, n: int, d: int = 2) -> set[tuple]:
             key.append(chain[0])
         keys.add(tuple(key))
     return keys
+
+
+def window_map_colors(big: int, k: int, lefts: list, key_of, build_map) -> array:
+    """The colors ``colorings._color_windows`` fills, edge by edge: the edge
+    (a,) + b gets ``build_map(key_of(b))[lefts[b[0]][a]]``."""
+    colors = array("B")
+    for edge in sorted(combinations(range(big), k), key=lambda e: e[::-1]):
+        b = edge[1:]
+        colors.append(build_map(key_of(b))[lefts[b[0]][edge[0]]])
+    return colors
+
+
+def tuple_transitivity(coloring, wm):
+    """The first (k+1)-tuple, in lexicographic order, whose two consecutive
+    k-windows share a color that another of its k-subsets lacks; True if
+    none.  One unit per tuple, charged before the tuple is looked at."""
+    k = coloring.k
+    for tup in combinations(range(coloring.N), k + 1):
+        wm.charge()
+        front = coloring.color_of(tup[:k])
+        if coloring.color_of(tup[1:]) != front:
+            continue
+        for drop in range(1, k):
+            if coloring.color_of(tup[:drop] + tup[drop + 1 :]) != front:
+                return tup
+    return True
+
+
+def whole_file_load(path):
+    """The coloring a file describes, by ``json.load`` of the whole file and
+    ``EdgeColoring.from_json_dict``, or the text of the ValueError that
+    ``EdgeColoring.load`` raises for it."""
+    try:
+        with open(path) as fh:
+            try:
+                data = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path} is not valid JSON: {exc}") from exc
+        return EdgeColoring.from_json_dict(data)
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"

@@ -275,6 +275,36 @@ def test_colors_out_of_range_exit_2(tmp_path, capsys, bad):
         assert capsys.readouterr().err == "error: colors must lie in 1..2\n"
 
 
+@pytest.mark.parametrize("field,value", [
+    ("colors", [1, True, 1]), ("colors", [1, 1.0, 1]), ("k", 2.9), ("k", "2"), ("k", True),
+    ("q", 2.5), ("N", 3.0),
+])
+def test_non_integer_fields_exit_2(tmp_path, capsys, field, value):
+    # each was read as the integer it rounds or converts to
+    doc = {"k": 2, "q": 2, "N": 3, "encoding": "colex-rank-array", "colors": [1, 1, 1]}
+    doc[field] = value
+    path = tmp_path / "c.json"
+    for text in (json.dumps(doc), json.dumps(doc, separators=(",", ":"))):
+        path.write_text(text)
+        for argv in (["verify", "--file", str(path), "--n", "2"],
+                     ["transitive", "--file", str(path)]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_transitive_scan_runs_out_fast(tmp_path, capsys):
+    # C(252, 4) tuples of the 2.6 M-edge coloring; the first 10^6 took
+    # about 10 s when every tuple's windows were ranked one by one
+    path = str(tmp_path / "c.json")
+    assert main(["construct", "--family", "3uniform", "--q", "2", "--n", "5", "--out", path]) == 0
+    capsys.readouterr()
+    t0 = time.perf_counter()
+    assert main(["transitive", "--file", path, "--budget", "1000000"]) == 3
+    assert time.perf_counter() - t0 < 3.0
+    assert capsys.readouterr().err == (
+        "budget exhausted: transitivity scan: exceeded work budget of 1000000 units\n")
+
+
 def _all_one_coloring(path, k, n_vertices):
     path.write_text(json.dumps({"k": k, "q": 1, "N": n_vertices, "encoding": "colex-rank-array",
                                 "colors": [1] * comb(n_vertices, k)}))
@@ -292,11 +322,22 @@ def test_verify_wide_k_reports_its_path(tmp_path, capsys):
 
 
 def test_verify_k_deeper_than_recursion_limit(tmp_path, capsys):
-    # 1.1 M windows of 1499 vertices, walked without recursion
+    # 1.1 M windows of 1499 vertices, walked without recursion and paid for
     f = _all_one_coloring(tmp_path / "deep.json", 1500, 1501)
-    code, rep = run_json(capsys, "verify", "--file", f, "--n", "2", "--budget", "100000")
+    code, rep = run_json(capsys, "verify", "--file", f, "--n", "2", "--budget", "2000000")
     assert code == 1
     assert rep["certificate"]["path"]["vertices"] == list(range(1, 1502))
+
+
+def test_verify_wide_k_pays_for_its_windows(tmp_path, capsys):
+    # 3000 units of edges and probes, but C(1501, 1499) = 1.1 M windows
+    f = _all_one_coloring(tmp_path / "deep.json", 1500, 1501)
+    t0 = time.perf_counter()
+    code = main(["verify", "--file", f, "--n", "2", "--budget", "100000"])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "budget exhausted: path DP on 1501 edges: exceeded work budget of 100000 units\n")
 
 
 def test_construct_one_long_bound_ends_on_budget(capsys, tmp_path):

@@ -9,8 +9,11 @@ k in 3..6, d in 1..3 and small n; 3-uniform with up to four colors and
 rectangular bounds) and inputs whose size once reached a crash: a 3-uniform
 construction with one bound past the recursion limit, valid coloring files
 with N = k + 1 and k up to past the recursion limit, and coloring files whose
-edge count C(N, k) has tens of thousands of digits.  Each ``main`` call gets
-the recursion limit it has as a program.
+edge count C(N, k) has tens of thousands of digits.  Files as ``save``
+writes them are drawn with a few bytes replaced, inserted or dropped, since
+``load`` reads that layout by its bytes; those copies must also load to the
+coloring, or fail with the error, that ``json.load`` of the whole file
+gives.  Each ``main`` call gets the recursion limit it has as a program.
 """
 
 import contextlib
@@ -22,7 +25,14 @@ from math import comb
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from helpers import whole_file_load
 from monopath.cli import main
+from monopath.colorings import (
+    EdgeColoring,
+    color_3uniform_lower,
+    color_graph_lower,
+    random_coloring,
+)
 
 # the values just below each range are invalid on purpose
 SMALL = st.integers(min_value=0, max_value=9)
@@ -144,10 +154,39 @@ def _wide_doc(draw):
 HUGE_DOC = st.tuples(_ints(10**4, 10**5), _ints(0, 3)).map(lambda t: {
     "k": t[0], "q": 2, "N": 2 * t[0], "encoding": "colex-rank-array", "colors": [1] * t[1]})
 
+# files as ``save`` writes them: single digits, two-digit colors, no colors
+SAVED_TEXTS = [
+    json.dumps(col.to_json_dict(), separators=(",", ":")) + "\n"
+    for col in (color_3uniform_lower(2, 2), color_graph_lower(2, 2),
+                random_coloring(3, 3, 6, seed=1), random_coloring(2, 12, 5, seed=3),
+                random_coloring(4, 2, 3, seed=2))
+]
+
+
+@st.composite
+def _perturbed_saved(draw):
+    """A saved file with one to three bytes replaced, inserted or dropped, or cut short."""
+    text = draw(st.sampled_from(SAVED_TEXTS))
+    for _ in range(draw(_ints(1, 3))):
+        at = draw(_ints(0, len(text)))
+        ch = draw(st.sampled_from(list('0123456789,[]{}":- tx\\\n\u00e9')))
+        edit = draw(st.sampled_from(["replace", "insert", "drop", "cut"]))
+        if edit == "replace":
+            text = text[:at] + ch + text[at + 1 :]
+        elif edit == "insert":
+            text = text[:at] + ch + text[at:]
+        elif edit == "drop":
+            text = text[:at] + text[at + 1 :]
+        else:
+            text = text[:at]
+    return text
+
+
 FILE_TEXT = st.one_of(
     _coloring_doc().map(json.dumps),
     _wide_doc().map(json.dumps),
     HUGE_DOC.map(json.dumps),
+    _perturbed_saved(),
     st.sampled_from(["", "not json", "[]", "{}", "null", '{"k": 2']),
 )
 
@@ -201,3 +240,19 @@ def test_cli_ends_cleanly_and_repeats_itself(tmp_path, command, text, budget, fi
     once = _run(argv, search)
     assert once[0] in (0, 1, 2, 3), (argv, once)
     assert _run(argv, search) == once, argv
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_perturbed_saved())
+def test_perturbed_saved_files_load_as_whole_files(tmp_path, text):
+    path = tmp_path / "drawn.json"
+    path.write_text(text)
+    try:
+        got = EdgeColoring.load(path)
+    except ValueError as exc:
+        got = f"{type(exc).__name__}: {exc}"
+    want = whole_file_load(path)
+    assert got == want
+    if not isinstance(got, str):
+        assert (got.labels, got.meta) == (want.labels, want.meta)

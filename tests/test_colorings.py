@@ -1,5 +1,7 @@
 import io
 import json
+import random
+from array import array
 from itertools import combinations
 from math import comb, prod
 
@@ -11,12 +13,17 @@ from helpers import (
     brute_monotone_arrays,
     delta_chain_colors,
     first_difference_colors,
+    tuple_transitivity,
+    whole_file_load,
     window_keys,
+    window_map_colors,
 )
 from monopath.budget import BudgetExceeded, WorkMeter, meter
 from monopath.colorings import (
     EdgeColoring,
+    _color_windows,
     _monotone_arrays,
+    _split_saved,
     check_transitivity_witness,
     color_3uniform_lower,
     color_graph_lower,
@@ -77,19 +84,110 @@ def test_json_roundtrip(tmp_path):
 @pytest.mark.parametrize("make", [
     lambda: color_graph_lower(3, 3),
     lambda: color_3uniform_lower(3, bounds=(2, 1, 3)),
+    lambda: color_3uniform_lower(2, 3),
     lambda: color_kuniform_lower(4, 2, d=2),
+    lambda: color_kuniform_lower(3, 2, d=3),
     lambda: random_coloring(4, 3, 9, seed=11),
+    lambda: random_coloring(3, 12, 9, seed=4),  # two-digit colors
+    lambda: random_coloring(4, 2, 3, seed=1),  # N < k: no colors
+    lambda: random_coloring(2, 9, 1, seed=2),
 ])
 def test_save_writes_the_streamed_bytes(tmp_path, make):
     col = make()
     path = tmp_path / "c.json"
     col.save(path)
+    text = json.dumps(col.to_json_dict(), separators=(",", ":")) + "\n"
     fh = io.StringIO()
     json.dump(col.to_json_dict(), fh, separators=(",", ":"))
-    assert path.read_bytes() == (fh.getvalue() + "\n").encode()
+    assert path.read_bytes() == text.encode() == (fh.getvalue() + "\n").encode()
     back = EdgeColoring.load(path)
     assert back == col
     assert back.meta == col.meta
+    # single digits are read as bytes, anything else as JSON
+    assert (_split_saved(text.encode()) is not None) == (max(col.colors, default=1) <= 9)
+
+
+def _loaded(path):
+    try:
+        return EdgeColoring.load(path)
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+SAVED = (b'{"k":2,"q":3,"N":4,"encoding":"colex-rank-array","colors":[1,2,3,1,2,3],'
+         b'"labels":[[1],[2],[3],[4]],"meta":{"family":"random","params":{"seed":5}}}\n')
+# (name, file bytes, whether the colors are read as bytes)
+FILE_VARIANTS = [
+    ("as saved", SAVED, True),
+    ("no newline", SAVED.rstrip(), True),
+    ("trailing whitespace", SAVED + b"  \n\n", True),
+    ("no labels or meta", SAVED[: SAVED.index(b',"labels"')] + b"}", True),
+    ("no colors, N < k", b'{"k":3,"q":2,"N":2,"encoding":"colex-rank-array","colors":[]}', True),
+    ("color 0", SAVED.replace(b"[1,2,3,1", b"[1,0,3,1"), False),
+    ("color q + 1", SAVED.replace(b"[1,2,3,1", b"[1,4,3,1"), True),
+    ("multi-digit color", SAVED.replace(b"[1,2,3,1", b"[1,12,3,1"), False),
+    ("multi-digit colors, q = 12", SAVED.replace(b'"q":3', b'"q":12').replace(
+        b"[1,2,3,1,2,3]", b"[1,12,3,10,2,3]"), False),
+    ("space after a comma", SAVED.replace(b"[1,2,", b"[1, 2,"), False),
+    ("pretty-printed", json.dumps(json.loads(SAVED), indent=1).encode(), False),
+    ("space in the head", SAVED.replace(b'"k":2,', b'"k": 2,'), False),
+    ("keys in another order", SAVED.replace(b'"k":2,"q":3,', b'"q":3,"k":2,'), False),
+    ("comma before the bracket", SAVED.replace(b"2,3],", b"2,3,],"), False),
+    ("two commas", SAVED.replace(b"[1,2,", b"[1,,2,"), False),
+    ("too few colors", SAVED.replace(b"[1,2,3,1,2,3]", b"[1,2,3,1,2]"), True),
+    ("duplicate colors key", SAVED.replace(b'"labels"', b'"colors":[3,3,3,3,3,3],"labels"'),
+     False),
+    ("duplicate colors key, empty", SAVED.replace(b'"labels"', b'"colors":[],"labels"'),
+     False),
+    ("escaped duplicate colors key", SAVED.replace(b'"labels"', b'"\\u0063olors":[],"labels"'),
+     False),
+    ("duplicate k", SAVED.replace(b'"labels"', b'"k":3,"labels"'), True),
+    ("duplicate encoding", SAVED.replace(b'"labels"', b'"encoding":"base64","labels"'), True),
+    ("nested colors in meta", SAVED.replace(b'"family"', b'"colors":[2],"family"'), False),
+    ("colors in a meta string", SAVED.replace(b'"random"', b'"colors"'), False),
+    ("truncated in the colors", SAVED[:70], False),
+    ("truncated after the colors", SAVED[:-20], True),
+    ("trailing garbage", SAVED.rstrip() + b"x\n", True),
+    ("a second object", SAVED + SAVED, False),
+    ("non-UTF-8 byte", SAVED.replace(b'"random"', b'"r\xe9ndom"'), False),
+    ("UTF-8 BOM", b"\xef\xbb\xbf" + SAVED, False),
+    ("carriage return in a string", SAVED.replace(b'"random"', b'"ran\r\ndom"'), True),
+    ("bool color", SAVED.replace(b"[1,2,", b"[1,true,"), False),
+    ("float k", SAVED.replace(b'"k":2', b'"k":2.0'), False),
+    ("bool k in the body", SAVED.replace(b'"labels"', b'"k":true,"labels"'), True),
+    ("string N in the body", SAVED.replace(b'"labels"', b'"N":"4","labels"'), True),
+    ("leading zero", SAVED.replace(b'"N":4', b'"N":04'), True),
+    ("not an object", b"[1,2,3]", False),
+    ("empty", b"", False),
+]
+
+
+@pytest.mark.parametrize("name,raw,fast", FILE_VARIANTS, ids=[v[0] for v in FILE_VARIANTS])
+def test_load_matches_the_whole_file_parse(tmp_path, name, raw, fast):
+    path = tmp_path / "c.json"
+    path.write_bytes(raw)
+    assert (_split_saved(raw) is not None) == fast
+    got = _loaded(path)
+    assert got == whole_file_load(path)
+    if not isinstance(got, str):
+        assert got.labels == whole_file_load(path).labels
+        assert got.meta == whole_file_load(path).meta
+
+
+@pytest.mark.parametrize("field,value", [
+    ("k", "2.0"), ("k", "true"), ("k", '"2"'), ("q", "3.5"), ("q", "false"), ("N", '"4"'),
+    ("N", "4e0"), ("colors", "[1,true,3,1,2,3]"), ("colors", "[1,2.0,3,1,2,3]"),
+    ("colors", '[1,"2",3,1,2,3]'), ("colors", '"123123"'), ("colors", "{}"),
+])
+def test_load_takes_json_integers_only(tmp_path, field, value):
+    # each of these was read as if it were the integer
+    doc = json.loads(SAVED)
+    doc[field] = json.loads(value)
+    for text in (json.dumps(doc), json.dumps(doc, separators=(",", ":"))):
+        path = tmp_path / "c.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="integer|ints"):
+            EdgeColoring.load(path)
 
 
 def test_load_rejects_malformed(tmp_path):
@@ -180,6 +278,31 @@ THREE_UNIFORM_CASES = [
 def test_3uniform_matches_edge_by_edge_reference(q, bounds):
     col = color_3uniform_lower(q, bounds=bounds)
     assert col.colors.tobytes() == first_difference_colors(q, bounds).tobytes()
+
+
+@pytest.mark.parametrize("top", [255, 256, 300])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_window_fill_matches_edge_by_edge_reference(k, top):
+    # table entries up to ``top``: at 255 every row fits in bytes and each
+    # window is one translate, above it the fill looks up edge by edge
+    rng = random.Random(100 * k + top)
+    big = 9
+    lefts = [[rng.randint(0, top) for _ in range(v)] for v in range(big)]
+    lefts[-1][-1] = top
+    maps = {}
+
+    def key_of(b):
+        return sum(b) % 5
+
+    def build_map(key):
+        if key not in maps:
+            maps[key] = [rng.randint(1, 4) for _ in range(top + 1)]
+        return maps[key]
+
+    wm = WorkMeter(limit=10**6)
+    got = _color_windows(big, k, lefts, key_of, build_map, wm)
+    assert got.tobytes() == window_map_colors(big, k, lefts, key_of, build_map).tobytes()
+    assert len(got) == comb(big, k)
 
 
 def _3uniform_units(q, bounds) -> int:
@@ -362,6 +485,45 @@ def test_transitivity_witness_checks():
 def test_transitivity_budget():
     with pytest.raises(BudgetExceeded):
         is_transitive(color_3uniform_lower(2, 4), budget=100)
+
+
+def _scan(run, limit):
+    wm = WorkMeter(limit, label="scan")
+    try:
+        got = run(wm)
+    except BudgetExceeded as exc:
+        got = str(exc)
+    return got, wm.used
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("seed", range(6))
+def test_transitivity_matches_tuple_by_tuple_reference(k, seed):
+    # mostly one color with a few edges flipped, so the first violation
+    # (if any) lies deep in the scan; same tuple, same units, same miss
+    rng = random.Random(10 * k + seed)
+    big = k + 1 + rng.randint(0, 7 if k < 4 else 4)
+    col = random_coloring(k, 3, big, seed=seed)
+    if seed % 3:
+        col.colors[:] = array("B", [1]) * len(col.colors)
+        for _ in range(seed % 3):
+            col.colors[rng.randrange(len(col.colors))] = rng.randint(2, 3)
+    total = _scan(lambda wm: tuple_transitivity(col, wm), 10**9)
+    assert _scan(lambda wm: is_transitive(col, budget=wm), 10**9) == total
+    for limit in {0, 1, total[1] // 2, total[1] - 1, total[1], total[1] + 1}:
+        assert _scan(lambda wm: is_transitive(col, budget=wm), limit) == _scan(
+            lambda wm: tuple_transitivity(col, wm), limit), limit
+
+
+def test_transitivity_on_a_shared_meter():
+    # a scan that starts with units already spent has only the rest
+    col = color_3uniform_lower(2, 3)
+    wm, ref = WorkMeter(limit=5000, used=1234), WorkMeter(limit=5000, used=1234)
+    with pytest.raises(BudgetExceeded):
+        tuple_transitivity(col, ref)
+    with pytest.raises(BudgetExceeded):
+        is_transitive(col, budget=wm)
+    assert wm.used == ref.used == 5001
 
 
 def test_transitive_colorings_have_ordered_paths():
