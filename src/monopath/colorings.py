@@ -63,8 +63,9 @@ ENCODING = "colex-rank-array"
 
 # the colors 1..9 and the ASCII digits that spell them
 _ONE_TO_NINE = bytes(range(1, 10))
-_TO_DIGIT = bytes.maketrans(_ONE_TO_NINE, b"123456789")
-_FROM_DIGIT = bytes.maketrans(b"123456789", _ONE_TO_NINE)
+_DIGITS = b"123456789"
+_TO_DIGIT = bytes.maketrans(_ONE_TO_NINE, _DIGITS)
+_FROM_DIGIT = bytes.maketrans(_DIGITS, _ONE_TO_NINE)
 # how ``save`` begins a file: k, q and N, then the colors
 _SAVED_HEAD = re.compile(
     rb'\{"k":\d+,"q":\d+,"N":\d+,"encoding":' + re.escape(json.dumps(ENCODING).encode())
@@ -274,7 +275,7 @@ def _split_saved(raw: bytes) -> tuple[str, array] | None:
     if end < 0 or (end - start) % 2 == 0 and end > start:
         return None
     digits = raw[start:end:2]
-    if digits.translate(None, b"123456789") or raw[start + 1 : end : 2].translate(None, b","):
+    if digits.translate(None, _DIGITS) or raw[start + 1 : end : 2].translate(None, b","):
         return None
     return (raw[:start] + raw[end:]).decode("ascii"), array("B", digits.translate(_FROM_DIGIT))
 

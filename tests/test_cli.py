@@ -280,7 +280,7 @@ def test_colors_out_of_range_exit_2(tmp_path, capsys, bad):
     ("q", 2.5), ("N", 3.0),
 ])
 def test_non_integer_fields_exit_2(tmp_path, capsys, field, value):
-    # each was read as the integer it rounds or converts to
+    # JSON floats, bools and strings are no integers, whatever int() makes of them
     doc = {"k": 2, "q": 2, "N": 3, "encoding": "colex-rank-array", "colors": [1, 1, 1]}
     doc[field] = value
     path = tmp_path / "c.json"
@@ -293,8 +293,8 @@ def test_non_integer_fields_exit_2(tmp_path, capsys, field, value):
 
 
 def test_transitive_scan_runs_out_fast(tmp_path, capsys):
-    # C(252, 4) tuples of the 2.6 M-edge coloring; the first 10^6 took
-    # about 10 s when every tuple's windows were ranked one by one
+    # C(252, 4) tuples of the 2.6 M-edge coloring, a few lookups each: the
+    # first 10^6 are scanned well inside the limit
     path = str(tmp_path / "c.json")
     assert main(["construct", "--family", "3uniform", "--q", "2", "--n", "5", "--out", path]) == 0
     capsys.readouterr()

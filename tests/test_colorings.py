@@ -90,7 +90,7 @@ def test_json_roundtrip(tmp_path):
     lambda: random_coloring(4, 3, 9, seed=11),
     lambda: random_coloring(3, 12, 9, seed=4),  # two-digit colors
     lambda: random_coloring(4, 2, 3, seed=1),  # N < k: no colors
-    lambda: random_coloring(2, 9, 1, seed=2),
+    lambda: random_coloring(2, 9, 12, seed=2),  # up to 9, the last single digit
 ])
 def test_save_writes_the_streamed_bytes(tmp_path, make):
     col = make()
@@ -180,7 +180,7 @@ def test_load_matches_the_whole_file_parse(tmp_path, name, raw, fast):
     ("colors", '[1,"2",3,1,2,3]'), ("colors", '"123123"'), ("colors", "{}"),
 ])
 def test_load_takes_json_integers_only(tmp_path, field, value):
-    # each of these was read as if it were the integer
+    # on both load paths: the compact layout and one with spaces
     doc = json.loads(SAVED)
     doc[field] = json.loads(value)
     for text in (json.dumps(doc), json.dumps(doc, separators=(",", ":"))):
