@@ -69,6 +69,15 @@ class WorkMeter:
                 f"{self.label}: exceeded work budget of {self.limit} units"
             )
 
+    def prepay(self, amount: int) -> None:
+        """Charge ``amount`` units before the work they pay for is done.
+
+        A budget that cannot pay for all of them is charged one unit past
+        its limit, as a charge per unit would be, so ``used`` and the
+        message are the same either way.
+        """
+        self.charge(min(amount, self.limit - self.used + 1))
+
 
 def meter(budget: int | WorkMeter | None, label: str) -> WorkMeter:
     """A fresh meter; ``budget=None`` picks up the environment default.

@@ -17,6 +17,21 @@ starting with window w, which drives witness reconstruction: growing the
 vertex sequence from the front and always taking the smallest feasible next
 vertex returns the lexicographically smallest maximum-length witness.
 
+A sweep takes a window's run of incoming edges in one of two steps.  The
+per-edge step reads or writes one front value per edge.  The mask step
+takes the run whole: its colors become one int, a byte per edge, and the
+windows b that share the fronts of the run (those with the same b[:-1], the
+front group) share, per color, one mask of the fronts of each value.
+Forward, the highest-valued mask the run's color-c edges meet gives L_c(b);
+in reverse, the run's color-c edges are ORed into the group's mask for
+R_c(b) + 1, and each front reads its value off the group's masks when the
+sweep reaches it.  The mask step pays a fixed cost per window and per group
+that the per-edge step does not, so only runs of at least ``FORWARD_CUT``
+(``REVERSE_CUT``) edges take it.  Those cuts were measured on the extremal
+colorings: the 3-uniform ones have runs of up to N - 2 edges and groups of
+many windows, and gain most; the small random colorings have no run that
+long and keep the per-edge step they are fastest with.
+
 On top of the DP sit the certificate maps.  The label vector of a window is
 C(w) = (1 + L_1(w), ..., 1 + L_q(w)); when no color reaches length n these
 land in the grid [n]^q.  Down-set labels extend them to shorter tuples,
@@ -27,13 +42,18 @@ ending with one order-k structure per vertex.  If no color reaches length
 n, the vertex labels are pairwise distinct, which is the pigeonhole
 certificate bounding N; a collision would contradict the DP and the
 extraction walk turns it into a path longer than the DP's own maximum.
+The label tables are lists indexed by colex rank: in colex order the tuples
+(x,) + t, x < t[0], of one t are consecutive, and over all t in turn they
+are the whole level above, so each label is one OR over the next run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from functools import reduce
+from itertools import combinations, islice
 from math import comb
+from operator import or_
 
 from .budget import meter
 from .colorings import EdgeColoring
@@ -90,31 +110,123 @@ class PathScan:
         return max(self.per_color_max.values())
 
 
+# the shortest run of incoming edges that takes the mask step, per sweep
+# (measured: below it the per-edge step is faster)
+FORWARD_CUT = 16
+REVERSE_CUT = 20
+
+
+def _value_masks(values: bytes, shift: int) -> list[tuple[int, int]]:
+    """(v + 1, mask of the i with values[i] == v) per value v, highest first.
+
+    Byte i of a mask stands for position i; the set bit is ``shift``.
+    """
+    return [
+        (v + 1, int.from_bytes(
+            values.translate(bytes(v) + bytes((1 << shift,)) + bytes(255 - v)), "little"))
+        for v in sorted(set(values), reverse=True)
+    ]
+
+
+def _front_values(masks: dict[int, int], shift: int, span: int) -> bytes:
+    """Per position, the largest v whose mask holds it (0 for none), as bytes.
+
+    Taking the values in increasing order, each one overwrites the bytes of
+    its mask: ``sel * 255`` covers them and ``sel * v`` writes v there.
+    """
+    out = 0
+    for v in sorted(masks):
+        sel = masks[v] >> shift
+        out = out & ~(sel * 255) | sel * v
+    return out.to_bytes(span, "little")
+
+
 def _sweep(coloring: EdgeColoring, windows, wm, reverse: bool) -> list:
     """L_c (forward) or R_c (reverse) per window rank, one flat list per color.
 
     The forward sweep takes the edges in colex order, so every front value
     is final before it is read; the reverse sweep takes them backwards, so
     every back value is.  One unit per edge.
+
+    A run shorter than the cut steps edge by edge; a longer one takes the
+    mask step (see the module docstring).  The run becomes one int, whose
+    byte a has bit c - 1 set for the color c of the edge (a,) + b.  The
+    windows that share the fronts of the run, its front group, keyed by the
+    rank of its first front, share one mask per color and value.  Masks hold
+    colors as bits of a byte and values as bytes, so they serve q <= 8 and
+    paths of at most 254 edges (a path has at most N - k + 1), and k >= 3,
+    where a group's fronts are final before its first window and its
+    windows are all done before its first front.
     """
     colors = coloring.colors
     wm.charge(len(colors))
-    tabs = [None] + [[0] * len(windows) for _ in range(coloring.q)]
+    q = coloring.q
+    tabs = [None] + [[0] * len(windows) for _ in range(q)]
+    color_tabs = tabs[1:]
+    cut = REVERSE_CUT if reverse else FORWARD_CUT
+    span = coloring.N - coloring.k + 1  # the longest run and the longest path
+    if q > 8 or coloring.k < 3 or not cut <= span < 255:
+        cut = span + 1
+    else:
+        raw = bytes(colors)
+        onehot = bytes([0] + [1 << s for s in range(q)] + [0] * (255 - q))
+        # the bits of color c in a run
+        ones = [int.from_bytes(bytes((1 << s,)) * span, "little") for s in range(q)]
+    groups: dict[int, list] = {}
     if not reverse:
         for w, (e0, f0, m) in enumerate(windows):
-            for c, f in zip(colors[e0 : e0 + m], range(f0, f0 + m)):
-                tab = tabs[c]
-                cand = tab[f] + 1
-                if cand > tab[w]:
-                    tab[w] = cand
+            if m < cut:
+                for c, f in zip(colors[e0 : e0 + m], range(f0, f0 + m)):
+                    tab = tabs[c]
+                    cand = tab[f] + 1
+                    if cand > tab[w]:
+                        tab[w] = cand
+                continue
+            ranked = groups.get(f0)
+            if ranked is None:
+                ranked = groups[f0] = [
+                    (tab, _value_masks(bytes(tab[f0 : f0 + m]), s))
+                    for s, tab in enumerate(color_tabs)
+                ]
+            run = int.from_bytes(raw[e0 : e0 + m].translate(onehot), "little")
+            for tab, pairs in ranked:
+                for v, mask in pairs:
+                    if run & mask:
+                        tab[w] = v
+                        break
     else:
+        fronts: dict[int, list] = {}
         for w in range(len(windows) - 1, -1, -1):
             e0, f0, m = windows[w]
-            for c, f in zip(colors[e0 : e0 + m], range(f0, f0 + m)):
-                tab = tabs[c]
-                cand = tab[w] + 1
-                if cand > tab[f]:
-                    tab[f] = cand
+            # w = (m,) + g is the front at position m of the group of g, keyed
+            # by the rank w - m of (0,) + g; position 0 is its last front
+            key = w - m
+            values = fronts.get(key)
+            if values is None and key in groups:
+                values = fronts[key] = [
+                    _front_values(masks, s, span) for s, masks in enumerate(groups.pop(key))
+                ]
+            if values is not None:
+                for tab, vals in zip(color_tabs, values):
+                    tab[w] = vals[m]
+                if m == 0:
+                    del fronts[key]
+            if m < cut:
+                for c, f in zip(colors[e0 : e0 + m], range(f0, f0 + m)):
+                    tab = tabs[c]
+                    cand = tab[w] + 1
+                    if cand > tab[f]:
+                        tab[f] = cand
+                continue
+            grp = groups.get(f0)
+            if grp is None:
+                grp = groups[f0] = [{} for _ in range(q)]
+            run = int.from_bytes(raw[e0 : e0 + m].translate(onehot), "little")
+            for tab, masks, bits in zip(color_tabs, grp, ones):
+                row = run & bits
+                if row:
+                    v = tab[w] + 1
+                    masks[v] = masks.get(v, 0) | row
     return tabs
 
 
@@ -179,28 +291,35 @@ def longest_mono(
     return PathScan(per_color_max=maxima, witnesses=wits, forward=fwd)
 
 
+def _forward_tables(coloring: EdgeColoring, wm, forward: list | None) -> list:
+    """The forward L_c tables, billed one unit per window and per edge.
+
+    ``forward``, the tables of a ``longest_mono`` scan of this coloring,
+    saves the sweep.  It is billed as the sweep that made it, unit for unit,
+    the way a memo replay bills a stored result, so the budget runs out at
+    the same point either way.
+    """
+    wm.charge(comb(coloring.N, coloring.k - 1))
+    if forward is None:
+        return _sweep(coloring, colex_windows(coloring.N, coloring.k), wm, reverse=False)
+    wm.charge(len(coloring.colors))
+    return forward
+
+
 def label_vectors(
     coloring: EdgeColoring, *, budget: int | None = None, forward: list | None = None
 ) -> dict[tuple[int, ...], tuple[int, ...]]:
     """C(w) = (1 + L_1(w), ..., 1 + L_q(w)) for every (k-1)-tuple w, in colex order.
 
-    ``forward``, the forward tables of a ``longest_mono`` scan of this
-    coloring, saves the sweep.  They are billed as the sweep that made them,
-    unit for unit, the way a memo replay bills a stored result, so the budget
-    runs out at the same point either way.
+    ``forward`` goes to ``_forward_tables``.
     """
     if coloring.k < 2:
         raise ValueError("label vectors need k >= 2")
-    k, q, big = coloring.k, coloring.q, coloring.N
     wm = meter(budget, f"label vectors on {coloring.num_edges} edges")
-    wm.charge(comb(big, k - 1))
-    if forward is None:
-        forward = _sweep(coloring, colex_windows(big, k), wm, reverse=False)
-    else:
-        wm.charge(len(coloring.colors))
+    forward = _forward_tables(coloring, wm, forward)
     return {
-        w: tuple(forward[c][i] + 1 for c in range(1, q + 1))
-        for i, w in enumerate(subsets_colex(big, k - 1))
+        w: tuple(tab[i] + 1 for tab in forward[1:])
+        for i, w in enumerate(subsets_colex(coloring.N, coloring.k - 1))
     }
 
 
@@ -215,30 +334,56 @@ class LabelEscape(ValueError):
         )
 
 
+def _grid_point(index: int, n: int, q: int) -> tuple[int, ...]:
+    """The point of [n]^q at ``index`` in the grid universe's sorted order."""
+    point = []
+    for _ in range(q):
+        index, digit = divmod(index, n)
+        point.append(digit + 1)
+    return tuple(reversed(point))
+
+
 def _label_levels(
     coloring: EdgeColoring, n: int, r: int, budget: int | None, forward: list | None = None
-) -> dict[int, dict]:
-    """Down-set label tables for tuple sizes r..k-1, keyed by size.
+) -> dict[int, list]:
+    """Down-set label tables for tuple sizes r..k-1, keyed by size, as lists.
 
-    Size k-1 entries are grid points of [n]^q; smaller sizes are bitmasks
-    over the next universe down (size j labels live in the order-(k-j+1)
-    universe, stored as masks over the order-(k-j) one).  Below size k-1 a
-    tuple that starts at vertex 0 has the empty label 0 and costs no unit;
-    it is left out, so every stored label is paid for and the tables grow
-    no faster than the budget.  Read them with ``.get(t, 0)``.  ``forward``
-    goes to ``label_vectors``.
+    Size k-1 holds, per window rank, the index of its label vector in the
+    grid [n]^q; the grid universe sorts points lexicographically, so that is
+    the mixed-radix number with digits L_1(w), ..., L_q(w).  Size j < k-1
+    holds the labels of the j-subsets t of range(1, N), in colex order:
+    bitmasks over the next universe down (size j labels live in the
+    order-(k-j+1) universe, stored as masks over the order-(k-j) one).  A
+    tuple that starts at vertex 0 has the empty label 0 and is not stored.
+
+    The label of t is the union of the principal ideals of the labels of
+    (x,) + t, x < t[0], and in colex order those tuples, over all t in
+    turn, are the level above, one run of t[0] after another (t[0] - 1 when
+    the level above leaves out the tuples at vertex 0).  Units: one per
+    (x, t) pair, C(N, j + 1) for size j, paid before the level is built, so
+    every stored label is paid for.  ``forward`` goes to ``_forward_tables``.
     """
     k, q, big = coloring.k, coloring.q, coloring.N
     if not 1 <= r <= k - 1:
         raise ValueError(f"tuple size must lie in 1..{k - 1}, got {r}")
     if n < 1:
         raise ValueError("need n >= 1")
-    base = label_vectors(coloring, budget=budget, forward=forward)
-    for w, lab in base.items():
-        for c, entry in enumerate(lab, start=1):
-            if entry > n:
-                raise LabelEscape(w, c, entry, n)
-    levels: dict[int, dict] = {k - 1: base}
+    wm = meter(budget, f"label vectors on {coloring.num_edges} edges")
+    forward = _forward_tables(coloring, wm, forward)[1:]
+    # the first escaping window in colex order, and its first escaping color
+    escapes = [
+        (next(i for i, v in enumerate(tab) if v >= n), c)
+        for c, tab in enumerate(forward, 1)
+        if max(tab, default=0) >= n
+    ]
+    if escapes:
+        i, c = min(escapes)
+        window = next(islice(subsets_colex(big, k - 1), i, None))
+        raise LabelEscape(window, c, forward[c - 1][i] + 1, n)
+    grid = forward[0]
+    for tab in forward[1:]:
+        grid = [g * n + v for g, v in zip(grid, tab)]
+    levels: dict[int, list] = {k - 1: grid}
     if r == k - 1:
         return levels
     wm = meter(budget, "down-set label recursion")
@@ -247,18 +392,21 @@ def _label_levels(
     while u is not None:
         unis[u.k] = u
         u = u.parent
+    upper = grid
     for j in range(k - 2, r - 1, -1):
         lower = unis[k - j]
-        pmask = lower.principal_masks()
-        upper = levels[j + 1]
-        lev: dict[tuple[int, ...], int] = {}
-        for t in combinations(range(1, big), j):
-            acc = 0
-            for x in range(t[0]):
-                wm.charge()
-                acc |= pmask[lower.index_of(upper.get((x,) + t, 0))]
-            lev[t] = acc
-        levels[j] = lev
+        pmask = lower.principal_masks(wm)
+        wm.prepay(comb(big, j + 1))
+        rest = iter(upper)
+        # t = b + 1 for the j-subsets b of range(N - 1), so t[0] = b[0] + 1
+        firsts = (b[0] + 1 for b in colex_walk(big - 1, j))
+        if j == k - 2:  # grid indices are universe indices
+            lev = [reduce(or_, map(pmask.__getitem__, islice(rest, x))) for x in firsts]
+        else:
+            ideal = dict(zip(lower.elements, pmask))
+            empty = ideal[0]
+            lev = [reduce(or_, map(ideal.__getitem__, islice(rest, x - 1)), empty) for x in firsts]
+        levels[j] = upper = lev
     return levels
 
 
@@ -267,15 +415,17 @@ def downset_labels(
 ) -> dict:
     """The recursive down-set labels of all r-tuples.
 
-    For r = k-1 the labels are grid points; otherwise each label is the
-    bitmask of an order-(k-r+1) structure over the order-(k-r) universe.
-    Raises LabelEscape when some color reaches a path of length n, in which
-    case no such labels exist.
+    For r = k-1 the labels are grid points, in colex order; otherwise each
+    label is the bitmask of an order-(k-r+1) structure over the order-(k-r)
+    universe, for every r-tuple in lexicographic order.  Raises LabelEscape
+    when some color reaches a path of length n, in which case no such labels
+    exist.
     """
-    labels = _label_levels(coloring, n, r, budget)[r]
-    if r == coloring.k - 1:
-        return labels
-    return {t: labels.get(t, 0) for t in combinations(range(coloring.N), r)}
+    k, q, big = coloring.k, coloring.q, coloring.N
+    levels = _label_levels(coloring, n, r, budget)
+    if r == k - 1:
+        return {w: _grid_point(g, n, q) for w, g in zip(subsets_colex(big, r), levels[r])}
+    return {t: _stored_label(levels, k, t) for t in combinations(range(big), r)}
 
 
 @dataclass(frozen=True)
@@ -303,23 +453,37 @@ class Certificate:
             raise ValueError(f"status {self.status!r} needs a witness path")
 
 
+def _stored_label(levels: dict[int, list], k: int, t: tuple[int, ...]):
+    """The label of tuple t in the tables of ``_label_levels``, by rank."""
+    if len(t) == k - 1:
+        return levels[k - 1][colex_rank(t)]
+    if t[0] == 0:
+        return 0
+    return levels[len(t)][colex_rank(tuple(v - 1 for v in t))]
+
+
 def _extract_collision_path(
-    coloring: EdgeColoring, levels: dict[int, dict], u: int, v: int, budget: int | None
+    coloring: EdgeColoring, levels: dict[int, list], n: int, u: int, v: int,
+    budget: int | None,
 ) -> MonotonePath:
-    """Walk a label collision down to a path contradicting the forward DP."""
-    k = coloring.k
+    """Walk a label collision down to a path contradicting the forward DP.
+
+    ``levels`` are the tables of ``_label_levels`` for target length n.
+    """
+    k, q = coloring.k, coloring.q
     wm = meter(budget, "collision walk")
     t = (u, v)
     while len(t) < k:
-        j = len(t)
-        cur = levels[j].get(t, 0)
-        grid_level = j == k - 1
+        cur = _stored_label(levels, k, t)
+        grid_level = len(t) == k - 1
+        if grid_level:
+            cur = _grid_point(cur, n, q)
         found = None
         for x in range(t[0]):
             wm.charge()
-            other = levels[j].get((x,) + t[:-1], 0)
+            other = _stored_label(levels, k, (x,) + t[:-1])
             if grid_level:
-                ok = all(a <= b for a, b in zip(cur, other))
+                ok = all(a <= b for a, b in zip(cur, _grid_point(other, n, q)))
             else:
                 ok = cur & ~other == 0
             if ok:
@@ -362,11 +526,12 @@ def injectivity_certificate(
         if scan.per_color_max[c] >= n:
             return Certificate(status="path", path=scan.witnesses[c], scan=scan)
     levels = _label_levels(coloring, n, 1, budget, scan.forward)
+    # vertex v's label; at k >= 3 vertex 0 has the empty one, left unstored
+    labels = levels[1] if coloring.k == 2 else [0] + levels[1]
     seen: dict = {}
-    for v in range(coloring.N):
-        lab = levels[1].get((v,), 0)
+    for v, lab in enumerate(labels):
         if lab in seen:
-            path = _extract_collision_path(coloring, levels, seen[lab], v, budget)
+            path = _extract_collision_path(coloring, levels, n, seen[lab], v, budget)
             return Certificate(
                 status="collision", path=path, collision=(seen[lab], v), scan=scan
             )

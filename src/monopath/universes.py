@@ -113,15 +113,16 @@ class Universe:
     def pred_masks(self, wm=None) -> list[int]:
         """Strict-containment predecessor masks over element indices.
 
-        Quadratic in the universe size, so callers holding a work meter
-        should pass it; the cached result is reused on later calls.
+        Quadratic in the universe size: one unit per pair (j, i), j <= i,
+        paid before the scan, so callers holding a work meter should pass
+        it.  The cached result is reused, unpaid, on later calls.
         """
         if self._pred_masks is None:
             els = self.elements
+            if wm is not None:
+                wm.prepay(len(els) * (len(els) + 1) // 2)
             masks = []
             for i, b in enumerate(els):
-                if wm is not None:
-                    wm.charge(i + 1)
                 pm = 0
                 # the sort order extends containment, so predecessors sit below i
                 for j in range(i):
@@ -131,11 +132,12 @@ class Universe:
             self._pred_masks = masks
         return self._pred_masks
 
-    def principal_masks(self) -> list[int]:
-        """For each element, the mask of all elements contained in it (itself included)."""
+    def principal_masks(self, wm=None) -> list[int]:
+        """For each element, the mask of all elements contained in it (itself
+        included).  ``wm`` pays for ``pred_masks`` if they are not cached."""
         if self._principal_masks is None:
             self._principal_masks = [
-                pm | (1 << i) for i, pm in enumerate(self.pred_masks())
+                pm | (1 << i) for i, pm in enumerate(self.pred_masks(wm))
             ]
         return self._principal_masks
 

@@ -5,12 +5,14 @@ antichain counts, value assignments for box partitions, vertex sequences for
 monotone paths.  Tiny instances only.  ``count_antichains`` is the exception
 that reaches larger boxes: it counts antichains as independent sets of the
 comparability graph under a work meter, sharing no machinery with the
-frontier DP that counts down-sets.  Two more exceptions are kept as metering
-references: ``tuple_box_partitions``, the frontier DP with a tuple window
-and a charge per unit, for the packed-window DP in
-:mod:`monopath.counting`, and ``dict_longest_mono``, the path DP over dicts
+frontier DP that counts down-sets.  Three more exceptions are kept as
+metering references: ``tuple_box_partitions``, the frontier DP with a tuple
+window and a charge per unit, for the packed-window DP in
+:mod:`monopath.counting`; ``dict_longest_mono``, the path DP over dicts
 keyed by window tuples, for the flat window-rank sweeps in
-:mod:`monopath.paths`.  The extremal colorings have references too, for
+:mod:`monopath.paths`; and ``dict_downset_labels``, the label recursion over
+dicts keyed by tuples, for the label tables of :mod:`monopath.paths`
+indexed by colex rank.  The extremal colorings have references too, for
 the builds in :mod:`monopath.colorings` that color a whole back window from
 pairwise tables at once: ``delta_chain_colors`` reduces every edge's delta
 chain on its own, and ``first_difference_colors`` compares first
@@ -327,6 +329,42 @@ def dict_label_vectors(coloring, wm) -> dict:
         w: tuple(fvals[c].get(w, 0) + 1 for c in range(1, q + 1))
         for w in combinations(range(big), k - 1)
     }
+
+
+def dict_downset_labels(coloring, n: int, r: int, budget) -> dict:
+    """The labels of ``downset_labels`` by the recursion over dicts keyed by
+    tuples, with its meters: one unit per (x, t) pair, one at a time, after
+    the containment masks of the universe one level down."""
+    from monopath.paths import LabelEscape
+
+    k, q, big = coloring.k, coloring.q, coloring.N
+    wm = meter(budget, f"label vectors on {coloring.num_edges} edges")
+    upper = dict_label_vectors(coloring, wm)
+    # the first escape in colex order: by last vertex, then the one before
+    for w in sorted(upper, key=lambda w: w[::-1]):
+        for c, entry in enumerate(upper[w], start=1):
+            if entry > n:
+                raise LabelEscape(w, c, entry, n)
+    if r == k - 1:
+        return upper
+    wm = meter(budget, "down-set label recursion")
+    top = build_universe(k - 1, q, n, budget=budget)
+    unis = {}
+    while top is not None:
+        unis[top.k] = top
+        top = top.parent
+    for j in range(k - 2, r - 1, -1):
+        lower = unis[k - j]
+        pmask = lower.principal_masks(wm)
+        level = {}
+        for t in combinations(range(1, big), j):
+            acc = 0
+            for x in range(t[0]):
+                wm.charge()
+                acc |= pmask[lower.index_of(upper.get((x,) + t, 0))]
+            level[t] = acc
+        upper = level
+    return {t: upper.get(t, 0) for t in combinations(range(big), r)}
 
 
 def dict_pred_path(coloring, t: tuple[int, ...]) -> tuple[int, ...]:

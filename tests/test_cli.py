@@ -340,6 +340,21 @@ def test_verify_wide_k_pays_for_its_windows(tmp_path, capsys):
         "budget exhausted: path DP on 1501 edges: exceeded work budget of 100000 units\n")
 
 
+def test_verify_pays_for_containment_masks(tmp_path, capsys):
+    # 3 vertices, 11 colors: the labels live in the grid [3]^11, whose
+    # 177147 points would be compared pairwise, 1.6*10^10 units
+    path = str(tmp_path / "c.json")
+    argv = ["construct", "--family", "random", "--k", "3", "--q", "11", "--N", "3",
+            "--out", path]
+    assert main(argv) == 0
+    capsys.readouterr()
+    t0 = time.perf_counter()
+    assert main(["verify", "--file", path, "--n", "3", "--budget", "1000000"]) == 3
+    assert time.perf_counter() - t0 < 3.0
+    assert capsys.readouterr().err == (
+        "budget exhausted: down-set label recursion: exceeded work budget of 1000000 units\n")
+
+
 def test_construct_one_long_bound_ends_on_budget(capsys, tmp_path):
     # 1201 vertices, one per weakly decreasing 0/1 sequence of length 1200
     argv = ["--budget", "1000", "construct", "--family", "3uniform", "--q", "2",

@@ -1,3 +1,6 @@
+import random
+import tracemalloc
+from array import array
 from itertools import combinations
 from math import comb
 
@@ -14,6 +17,7 @@ from monopath.colorings import (
     color_kuniform_lower,
     random_coloring,
 )
+from monopath.subsets import colex_rank
 from monopath.paths import (
     Certificate,
     LabelEscape,
@@ -29,6 +33,7 @@ from monopath.paths import (
 from helpers import (
     brute_longest,
     brute_witness,
+    dict_downset_labels,
     dict_label_vectors,
     dict_longest_mono,
     dict_pred_path,
@@ -178,11 +183,108 @@ def test_sweep_budget_miss_at_reference_units(make):
         assert wm.used == ref_wm.used
 
 
+# --- mask steps and ranked labels against the dict references --------------
+
+# the largest N per k; at k = 3 and 4 runs reach both sides of both cuts
+WIDEST = {2: 40, 3: 30, 4: 26, 5: 20}
+
+
+@st.composite
+def skewed_colorings(draw):
+    """Random colorings, some mostly of color 1, for long paths."""
+    k = draw(st.sampled_from([3, 4, 2, 5]))
+    q = draw(st.integers(min_value=1, max_value=4))
+    big = draw(st.sampled_from(range(WIDEST[k], -1, -1)))
+    bias = draw(st.sampled_from([0.0, 0.7, 0.97]))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    colors = array("B", (1 if rng.random() < bias else rng.randint(1, q)
+                         for _ in range(comb(big, k))))
+    return EdgeColoring(k=k, q=q, N=big, colors=colors)
+
+
+def _settle(run, budget):
+    """run(budget)'s value, or its exception's type and message."""
+    try:
+        return run(budget)
+    except (BudgetExceeded, LabelEscape) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _check_against_references(col):
+    wm, ref_wm = WorkMeter(10**9), WorkMeter(10**9)
+    scan = longest_mono(col, budget=wm)
+    maxima, wits = dict_longest_mono(col, ref_wm)
+    assert scan.per_color_max == maxima
+    assert _witness_vertices(scan) == wits
+    assert wm.used == ref_wm.used
+    total = wm.used
+
+    def paths(b):
+        scan = longest_mono(col, budget=b)
+        return scan.per_color_max, _witness_vertices(scan)
+
+    label = f"path DP on {col.num_edges} edges"
+    for limit in (total // 2, total - 1):
+        wm, ref_wm = WorkMeter(limit, label), WorkMeter(limit, label)
+        assert _settle(paths, wm) == _settle(lambda b: dict_longest_mono(col, b), ref_wm)
+        assert wm.used == ref_wm.used
+        assert _settle(paths, limit) == _settle(
+            lambda b: dict_longest_mono(col, b), WorkMeter(limit, label))
+    wm, ref_wm = WorkMeter(10**9), WorkMeter(10**9)
+    assert label_vectors(col, budget=wm) == dict_label_vectors(col, ref_wm)
+    assert wm.used == ref_wm.used
+    top = scan.overall_max
+    for n, r in {(max(top, 1), 1), (top + 1, 1), (top + 1, col.k - 1)}:
+        if col.k == 2 and r != 1:
+            continue
+
+        def labels(b):
+            return downset_labels(col, n, r, budget=b)
+
+        def reference(b):
+            return dict_downset_labels(col, n, r, b)
+
+        wm, ref_wm = WorkMeter(10**5), WorkMeter(10**5)
+        got = _settle(labels, wm)
+        assert got == _settle(reference, ref_wm)
+        assert wm.used == ref_wm.used
+        # a budget of stage meters names the stage that ran out
+        assert _settle(labels, 10**5) == _settle(reference, 10**5)
+        # a miss may overshoot by a whole charge; keep the limits below 10^5
+        spent = min(wm.used, 10**5)
+        for limit in {spent // 2, spent - 1}:
+            wm, ref_wm = WorkMeter(limit), WorkMeter(limit)
+            assert _settle(labels, wm) == _settle(reference, ref_wm)
+            assert wm.used == ref_wm.used
+            assert _settle(labels, limit) == _settle(reference, limit)
+
+
+@given(skewed_colorings())
+@settings(max_examples=40, deadline=None)
+def test_mask_steps_and_ranked_labels_match_references(col):
+    _check_against_references(col)
+
+
+@pytest.mark.parametrize("k,big", [(2, 300), (3, 120)])
+def test_one_color_values_past_a_byte_match_references(k, big):
+    # the longest path has N - k + 1 edges: 299 at k = 2, 118 at k = 3
+    _check_against_references(EdgeColoring(k=k, q=1, N=big, colors=array("B", [1]) * comb(big, k)))
+
+
+def test_nine_colors_match_references():
+    # more colors than bits in a byte: every run steps edge by edge
+    _check_against_references(random_coloring(3, 9, 24, seed=5))
+
+
 @pytest.mark.parametrize("k,q,N,seed", [(2, 2, 9, 1), (2, 3, 10, 2), (3, 2, 8, 3)])
 def test_collision_walk_rebuilds_first_predecessor_path(k, q, N, seed):
     # a walk that ends on the k-tuple (u, v) [k = 2] or (x0, u, v) [k = 3],
-    # the latter forced by labels that contain nothing but the chosen step
+    # the latter forced by grid labels, by window rank, that contain nothing
+    # but the chosen step: (u, v) has the point (2, ..., 2) of [3]^q, (x0, u)
+    # the point (3, ..., 3) and every other window (1, ..., 1)
     col = random_coloring(k, q, N, seed=seed)
+    n = 3
+    twos = sum(n**i for i in range(q))  # the grid index of (2, ..., 2)
     for u, v in combinations(range(N), 2):
         levels = None
         t = (u, v)
@@ -190,12 +292,12 @@ def test_collision_walk_rebuilds_first_predecessor_path(k, q, N, seed):
             if u == 0:
                 continue
             x0 = (u + v) % u
-            grid = {w: (0,) * q for w in combinations(range(N), 2)}
-            grid[(u, v)] = (1,) * q
-            grid[(x0, u)] = (2,) * q
+            grid = [0] * comb(N, 2)
+            grid[colex_rank((u, v))] = twos
+            grid[colex_rank((x0, u))] = 2 * twos
             levels = {2: grid}
             t = (x0, u, v)
-        path = _extract_collision_path(col, levels, u, v, None)
+        path = _extract_collision_path(col, levels, n, u, v, None)
         assert path.vertices == dict_pred_path(col, t)
         assert path.color == col.color_of(t)
         assert validate_path(col, path)
@@ -281,15 +383,39 @@ def test_downset_labels_are_ideals():
 def test_stored_labels_are_paid_for():
     # one color on N = k + 1 vertices reaches every label level; a tuple that
     # starts at vertex 0 has the empty label and costs nothing, so storing
-    # it would let the tables outgrow the budget
+    # it would let the tables outgrow the budget.  Level j stores the
+    # j-subsets of range(1, N) alone, and costs one unit per (x, t) pair
     k = 12
-    col = EdgeColoring(k=k, q=1, N=k + 1, colors=[1] * (k + 1))
-    levels = _label_levels(col, 5, 1, WorkMeter(10**7))
-    stored = [t for j in range(1, k - 1) for t in levels[j]]
-    assert stored and all(t[0] > 0 for t in stored)
+    big = k + 1
+    col = EdgeColoring(k=k, q=1, N=big, colors=[1] * big)
+    used = {}
+    for r in range(k - 1, 0, -1):
+        wm = WorkMeter(10**7)
+        levels = _label_levels(col, 5, r, wm)
+        used[r] = wm.used
+    for j in range(1, k - 1):
+        assert len(levels[j]) == comb(big - 1, j)
+        assert used[j] - used[j + 1] >= comb(big, j + 1) >= len(levels[j])
     labs = downset_labels(col, 5, 3)
     assert list(labs) == list(combinations(range(k + 1), 3))
     assert labs[(0, 1, 2)] == 0 and all(labs[t] for t in labs if t[0])
+
+
+def test_wide_k_labels_hold_little_per_unit():
+    # one color, k = 60, N = 61: level j holds C(60, j) labels, so the budget
+    # stops the tables after a few levels.  Tables keyed by tuples of j
+    # vertices held about 505 bytes per unit charged here
+    k = 60
+    col = EdgeColoring(k=k, q=1, N=k + 1, colors=array("B", [1]) * (k + 1))
+    wm = WorkMeter(2 * 10**5)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded):
+            injectivity_certificate(col, 3, budget=wm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / wm.used < 50
 
 
 def test_downset_labels_escape():
