@@ -44,12 +44,9 @@ from .counting import (
 )
 from .paths import (
     Certificate,
-    LabelEscape,
     MonotonePath,
     PathScan,
-    downset_labels,
     injectivity_certificate,
-    label_vectors,
     longest_mono,
     validate_path,
 )
@@ -64,7 +61,6 @@ __all__ = [
     "DEFAULT_BUDGET",
     "EdgeColoring",
     "GridBox",
-    "LabelEscape",
     "MonotonePath",
     "PathScan",
     "RamseyResult",
@@ -84,11 +80,9 @@ __all__ = [
     "count_rho",
     "dedekind",
     "default_budget",
-    "downset_labels",
     "exact_ramsey",
     "injectivity_certificate",
     "is_transitive",
-    "label_vectors",
     "lnn_rank_sizes",
     "longest_mono",
     "macmahon",

@@ -13,8 +13,9 @@ import argparse
 import functools
 import json
 import sys
+from decimal import Decimal
 
-from .budget import DEFAULT_BUDGET, ENV_BUDGET, BudgetExceeded, default_budget
+from .budget import DEFAULT_BUDGET, ENV_BUDGET, BudgetExceeded, WorkMeter, default_budget, meter
 from .bounds import render_rows, run_inequality_suite
 from .colorings import (
     EdgeColoring,
@@ -48,6 +49,17 @@ def _print_json(obj) -> None:
     print(json.dumps(obj, indent=2))
 
 
+def _decimal(v: int, out: WorkMeter) -> str:
+    """v in decimal.  A value past the interpreter's limit on str() (4300
+    digits) pays ``out`` for its conversion first, which is quadratic in its
+    length: ((bits // 64) + 1)^2 units."""
+    try:
+        return str(v)
+    except ValueError:
+        out.charge((v.bit_length() // 64 + 1) ** 2)
+        return str(Decimal(v))
+
+
 def _path_json(path) -> dict:
     return {
         "color": path.color,
@@ -58,21 +70,22 @@ def _path_json(path) -> dict:
 
 def _cmd_count(args: argparse.Namespace, budget: int) -> int:
     kind = args.kind
+    out = meter(budget, "decimal output")
     if kind == "partitions":
         if args.d is None or args.n is None:
             raise ValueError("count --kind partitions needs --d and --n")
         v = count_downsets(GridBox(n=args.n, d=args.d), budget=budget)
-        _print_json({"kind": kind, "d": args.d, "n": args.n, "value": str(v)})
+        _print_json({"kind": kind, "d": args.d, "n": args.n, "value": _decimal(v, out)})
     elif kind == "rho":
         if None in (args.k, args.d, args.n):
             raise ValueError("count --kind rho needs --k, --d and --n")
         v = count_rho(args.k, args.d, args.n, budget=budget)
-        _print_json({"kind": kind, "k": args.k, "d": args.d, "n": args.n, "value": str(v)})
+        _print_json({"kind": kind, "k": args.k, "d": args.d, "n": args.n, "value": _decimal(v, out)})
     elif kind == "dedekind":
         if args.d is None:
             raise ValueError("count --kind dedekind needs --d")
         v = dedekind(args.d, budget=budget)
-        _print_json({"kind": kind, "d": args.d, "value": str(v)})
+        _print_json({"kind": kind, "d": args.d, "value": _decimal(v, out)})
     elif kind == "rank-profile":
         if args.n is None:
             raise ValueError("count --kind rank-profile needs --n")
@@ -85,14 +98,14 @@ def _cmd_count(args: argparse.Namespace, budget: int) -> int:
         if args.fmt == "table":
             print(f"# {head['graded']}")
             for i, s in enumerate(prof.sizes):
-                print(f"{prof.start + i:4d}  {s}")
-            print(f"# total {prof.total}  max {prof.max_size}")
+                print(f"{prof.start + i:4d}  {_decimal(s, out)}")
+            print(f"# total {_decimal(prof.total, out)}  max {_decimal(prof.max_size, out)}")
         else:
             head.update(
                 start=prof.start,
-                sizes=[str(s) for s in prof.sizes],
-                total=str(prof.total),
-                max=str(prof.max_size),
+                sizes=[_decimal(s, out) for s in prof.sizes],
+                total=_decimal(prof.total, out),
+                max=_decimal(prof.max_size, out),
             )
             _print_json(head)
     else:
@@ -102,26 +115,27 @@ def _cmd_count(args: argparse.Namespace, budget: int) -> int:
 
 def _cmd_formula(args: argparse.Namespace, budget: int) -> int:
     kind = args.kind
+    out = meter(budget, "decimal output")
     if kind == "p1":
         if args.n is None:
             raise ValueError("formula --kind p1 needs --n")
         v = p1_closed(args.n, budget=budget)
-        _print_json({"kind": kind, "n": args.n, "value": str(v)})
+        _print_json({"kind": kind, "n": args.n, "value": _decimal(v, out)})
     elif kind == "macmahon":
         if args.n is None:
             raise ValueError("formula --kind macmahon needs --n")
         v = macmahon(args.n, budget=budget)
-        _print_json({"kind": kind, "n": args.n, "value": str(v)})
+        _print_json({"kind": kind, "n": args.n, "value": _decimal(v, out)})
     elif kind == "rectangular":
         a, b, c = args.a, args.b, args.c
         if a is None or b is None:
             raise ValueError("formula --kind rectangular needs --a and --b (and --c for boxes)")
         if c is None:
             v = p1_rect(a, b, budget=budget)
-            _print_json({"kind": kind, "a": a, "b": b, "value": str(v)})
+            _print_json({"kind": kind, "a": a, "b": b, "value": _decimal(v, out)})
         else:
             v = macmahon_rect(a, b, c, budget=budget)
-            _print_json({"kind": kind, "a": a, "b": b, "c": c, "value": str(v)})
+            _print_json({"kind": kind, "a": a, "b": b, "c": c, "value": _decimal(v, out)})
     else:
         raise ValueError(f"unknown formula kind {kind!r}")
     return 0

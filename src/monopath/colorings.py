@@ -283,6 +283,12 @@ def _split_saved(raw: bytes) -> tuple[str, array] | None:
 # --- the extremal constructions ------------------------------------------------
 
 
+def _fit_colors(q: int) -> None:
+    """Colors are stored a byte each, so a constructor takes at most 255."""
+    if q > 255:
+        raise ValueError(f"at most 255 colors (one byte per edge), got {q}")
+
+
 def color_graph_lower(q: int, n: int, *, budget: int | None = None) -> EdgeColoring:
     """The first-rising-coordinate coloring of the complete graph on [n]^q.
 
@@ -290,6 +296,7 @@ def color_graph_lower(q: int, n: int, *, budget: int | None = None) -> EdgeColor
     """
     if q < 1 or n < 1:
         raise ValueError("need q >= 1 and n >= 1")
+    _fit_colors(q)
     meter(budget, f"graph coloring over [{n}]^{q}").charge(comb(n**q, 2))
     verts = sorted(product(range(1, n + 1), repeat=q))
     big = len(verts)
@@ -420,6 +427,7 @@ def color_3uniform_lower(
     """
     if q < 2:
         raise ValueError("need q >= 2 colors")
+    _fit_colors(q)
     if bounds is None:
         if n is None:
             raise ValueError("give n or bounds")
@@ -518,6 +526,7 @@ def color_kuniform_lower(
     """
     if k < 3:
         raise ValueError("need k >= 3")
+    _fit_colors(d)
     uni = build_universe(k, d, n, budget=budget)
     big = uni.size
     wm = meter(budget, f"{k}-uniform coloring over [{n}]^{d}")
@@ -573,6 +582,7 @@ def random_coloring(
     """
     if k < 1 or q < 1 or n_vertices < 0:
         raise ValueError("need k >= 1, q >= 1, N >= 0")
+    _fit_colors(q)
     edges = comb(n_vertices, k)
     meter(budget, f"random coloring of {edges} edges").charge(edges)
     rng = random.Random(seed)

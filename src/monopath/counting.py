@@ -299,9 +299,9 @@ def count_rho(k: int, d: int, n: int, *, budget=None) -> int:
     from .universes import build_universe
 
     wm = meter(budget, f"size of order-{k} universe (d={d}, n={n})")
-    parent = build_universe(k - 1, d, n, budget=wm)
+    parent = build_universe(k - 1, d, n, budget=wm, scan=wm)
     return count_order_ideals(
-        parent.pred_masks(wm),
+        parent.pred_masks(),
         budget=wm,
         label=f"order ideals of order-{k - 1} universe (d={d}, n={n})",
     )

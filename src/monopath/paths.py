@@ -1,4 +1,4 @@
-"""Longest monochromatic monotone path DP, label vectors, and certificates.
+"""Longest monochromatic monotone path DP and pigeonhole certificates.
 
 For a q-colored complete k-uniform hypergraph on 0 < 1 < ... < N-1 the
 engine computes, per color, the exact maximum length (in edges) of a
@@ -32,32 +32,33 @@ colorings: the 3-uniform ones have runs of up to N - 2 edges and groups of
 many windows, and gain most; the small random colorings have no run that
 long and keep the per-edge step they are fastest with.
 
-On top of the DP sit the certificate maps.  The label vector of a window is
-C(w) = (1 + L_1(w), ..., 1 + L_q(w)); when no color reaches length n these
-land in the grid [n]^q.  Down-set labels extend them to shorter tuples,
+On top of the DP sits the pigeonhole certificate.  When no color reaches
+length n, the label vector of a window, C(w) = (1 + L_1(w), ..., 1 +
+L_q(w)), lies in the grid [n]^q, and is read off the scan's own forward
+tables.  Down-set labels extend them to shorter tuples,
 
     D(t) = union of principal ideals of D((x,) + t) over x < min(t),
 
-ending with one order-k structure per vertex.  If no color reaches length
-n, the vertex labels are pairwise distinct, which is the pigeonhole
-certificate bounding N; a collision would contradict the DP and the
-extraction walk turns it into a path longer than the DP's own maximum.
-The label tables are lists indexed by colex rank: in colex order the tuples
-(x,) + t, x < t[0], of one t are consecutive, and over all t in turn they
-are the whole level above, so each label is one OR over the next run.
+ending with one order-k structure per vertex.  These vertex labels are
+pairwise distinct, which certifies the bound on N; a collision would
+contradict the DP, and the extraction walk turns it into a path longer
+than the DP's own maximum.  The label tables are lists indexed by colex
+rank: in colex order the tuples (x,) + t, x < t[0], of one t are
+consecutive, and over all t in turn they are the whole level above, so
+each label is one OR over the next run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import combinations, islice
+from itertools import islice
 from math import comb
 from operator import or_
 
 from .budget import meter
 from .colorings import EdgeColoring
-from .subsets import colex_rank, colex_walk, colex_windows, subsets_colex
+from .subsets import colex_rank, colex_walk, colex_windows
 from .universes import Universe, build_universe
 
 
@@ -291,49 +292,6 @@ def longest_mono(
     return PathScan(per_color_max=maxima, witnesses=wits, forward=fwd)
 
 
-def _forward_tables(coloring: EdgeColoring, wm, forward: list | None) -> list:
-    """The forward L_c tables, billed one unit per window and per edge.
-
-    ``forward``, the tables of a ``longest_mono`` scan of this coloring,
-    saves the sweep.  It is billed as the sweep that made it, unit for unit,
-    the way a memo replay bills a stored result, so the budget runs out at
-    the same point either way.
-    """
-    wm.charge(comb(coloring.N, coloring.k - 1))
-    if forward is None:
-        return _sweep(coloring, colex_windows(coloring.N, coloring.k), wm, reverse=False)
-    wm.charge(len(coloring.colors))
-    return forward
-
-
-def label_vectors(
-    coloring: EdgeColoring, *, budget: int | None = None, forward: list | None = None
-) -> dict[tuple[int, ...], tuple[int, ...]]:
-    """C(w) = (1 + L_1(w), ..., 1 + L_q(w)) for every (k-1)-tuple w, in colex order.
-
-    ``forward`` goes to ``_forward_tables``.
-    """
-    if coloring.k < 2:
-        raise ValueError("label vectors need k >= 2")
-    wm = meter(budget, f"label vectors on {coloring.num_edges} edges")
-    forward = _forward_tables(coloring, wm, forward)
-    return {
-        w: tuple(tab[i] + 1 for tab in forward[1:])
-        for i, w in enumerate(subsets_colex(coloring.N, coloring.k - 1))
-    }
-
-
-class LabelEscape(ValueError):
-    """A label vector left [n]^q: a monochromatic path of length >= n exists."""
-
-    def __init__(self, window: tuple[int, ...], color: int, entry: int, n: int):
-        self.window, self.color, self.entry, self.n = window, color, entry, n
-        super().__init__(
-            f"label entry {entry} > n={n} at window {window}, color {color}: "
-            f"a color-{color} monotone path of length >= {n} exists"
-        )
-
-
 def _grid_point(index: int, n: int, q: int) -> tuple[int, ...]:
     """The point of [n]^q at ``index`` in the grid universe's sorted order."""
     point = []
@@ -344,9 +302,16 @@ def _grid_point(index: int, n: int, q: int) -> tuple[int, ...]:
 
 
 def _label_levels(
-    coloring: EdgeColoring, n: int, r: int, budget: int | None, forward: list | None = None
+    coloring: EdgeColoring, n: int, r: int, budget: int | None, forward: list
 ) -> dict[int, list]:
-    """Down-set label tables for tuple sizes r..k-1, keyed by size, as lists.
+    """Down-set label tables for tuple sizes r..k-1 (1 <= r <= k-1), keyed by
+    size, as lists.
+
+    ``forward`` holds the L_c tables of a ``longest_mono`` scan of this
+    coloring whose maxima all stay below n.  They are billed as the sweep
+    that made them, one unit per window and one per edge, the way a memo
+    replay bills a stored result, so the budget runs out where a fresh
+    sweep would.
 
     Size k-1 holds, per window rank, the index of its label vector in the
     grid [n]^q; the grid universe sorts points lexicographically, so that is
@@ -361,41 +326,29 @@ def _label_levels(
     turn, are the level above, one run of t[0] after another (t[0] - 1 when
     the level above leaves out the tuples at vertex 0).  Units: one per
     (x, t) pair, C(N, j + 1) for size j, paid before the level is built, so
-    every stored label is paid for.  ``forward`` goes to ``_forward_tables``.
+    every stored label is paid for, and the containment masks of the
+    universe the size-r labels are masks over.
     """
     k, q, big = coloring.k, coloring.q, coloring.N
-    if not 1 <= r <= k - 1:
-        raise ValueError(f"tuple size must lie in 1..{k - 1}, got {r}")
-    if n < 1:
-        raise ValueError("need n >= 1")
     wm = meter(budget, f"label vectors on {coloring.num_edges} edges")
-    forward = _forward_tables(coloring, wm, forward)[1:]
-    # the first escaping window in colex order, and its first escaping color
-    escapes = [
-        (next(i for i, v in enumerate(tab) if v >= n), c)
-        for c, tab in enumerate(forward, 1)
-        if max(tab, default=0) >= n
-    ]
-    if escapes:
-        i, c = min(escapes)
-        window = next(islice(subsets_colex(big, k - 1), i, None))
-        raise LabelEscape(window, c, forward[c - 1][i] + 1, n)
-    grid = forward[0]
-    for tab in forward[1:]:
+    wm.charge(comb(big, k - 1))
+    wm.charge(len(coloring.colors))
+    grid = forward[1]
+    for tab in forward[2:]:
         grid = [g * n + v for g, v in zip(grid, tab)]
     levels: dict[int, list] = {k - 1: grid}
     if r == k - 1:
         return levels
     wm = meter(budget, "down-set label recursion")
-    unis: dict[int, Universe] = {}
-    u = build_universe(k - 1, q, n, budget=budget)
+    # size j labels are masks over the order-(k-j) universe: orders 2..k-r
+    lowers: list[Universe] = []
+    u = build_universe(k - r, q, n, budget=budget, scan=wm)
     while u is not None:
-        unis[u.k] = u
+        lowers.insert(0, u)
         u = u.parent
     upper = grid
-    for j in range(k - 2, r - 1, -1):
-        lower = unis[k - j]
-        pmask = lower.principal_masks(wm)
+    for j, lower in zip(range(k - 2, r - 1, -1), lowers):
+        pmask = lower.principal_masks()
         wm.prepay(comb(big, j + 1))
         rest = iter(upper)
         # t = b + 1 for the j-subsets b of range(N - 1), so t[0] = b[0] + 1
@@ -408,24 +361,6 @@ def _label_levels(
             lev = [reduce(or_, map(ideal.__getitem__, islice(rest, x - 1)), empty) for x in firsts]
         levels[j] = upper = lev
     return levels
-
-
-def downset_labels(
-    coloring: EdgeColoring, n: int, r: int = 1, *, budget: int | None = None
-) -> dict:
-    """The recursive down-set labels of all r-tuples.
-
-    For r = k-1 the labels are grid points, in colex order; otherwise each
-    label is the bitmask of an order-(k-r+1) structure over the order-(k-r)
-    universe, for every r-tuple in lexicographic order.  Raises LabelEscape
-    when some color reaches a path of length n, in which case no such labels
-    exist.
-    """
-    k, q, big = coloring.k, coloring.q, coloring.N
-    levels = _label_levels(coloring, n, r, budget)
-    if r == k - 1:
-        return {w: _grid_point(g, n, q) for w, g in zip(subsets_colex(big, r), levels[r])}
-    return {t: _stored_label(levels, k, t) for t in combinations(range(big), r)}
 
 
 @dataclass(frozen=True)
@@ -463,12 +398,14 @@ def _stored_label(levels: dict[int, list], k: int, t: tuple[int, ...]):
 
 
 def _extract_collision_path(
-    coloring: EdgeColoring, levels: dict[int, list], n: int, u: int, v: int,
+    coloring: EdgeColoring, levels: dict[int, list], forward: list, n: int, u: int, v: int,
     budget: int | None,
 ) -> MonotonePath:
     """Walk a label collision down to a path contradicting the forward DP.
 
-    ``levels`` are the tables of ``_label_levels`` for target length n.
+    ``levels`` are the tables of ``_label_levels`` for target length n, and
+    ``forward`` the L_c tables they were read off, which the path is
+    rebuilt from.
     """
     k, q = coloring.k, coloring.q
     wm = meter(budget, "collision walk")
@@ -494,8 +431,7 @@ def _extract_collision_path(
         t = (found,) + t
     col = coloring.color_of(t)
     windows = colex_windows(coloring.N, k)
-    wm = meter(budget, "collision path rebuild")
-    ltab = _sweep(coloring, windows, wm, reverse=False)[col]
+    ltab = forward[col]
     colors = coloring.colors
     seq = list(t[:-1])
     rank = colex_rank(t[:-1])
@@ -531,7 +467,9 @@ def injectivity_certificate(
     seen: dict = {}
     for v, lab in enumerate(labels):
         if lab in seen:
-            path = _extract_collision_path(coloring, levels, n, seen[lab], v, budget)
+            path = _extract_collision_path(
+                coloring, levels, scan.forward, n, seen[lab], v, budget
+            )
             return Certificate(
                 status="collision", path=path, collision=(seen[lab], v), scan=scan
             )

@@ -10,9 +10,10 @@ metering references: ``tuple_box_partitions``, the frontier DP with a tuple
 window and a charge per unit, for the packed-window DP in
 :mod:`monopath.counting`; ``dict_longest_mono``, the path DP over dicts
 keyed by window tuples, for the flat window-rank sweeps in
-:mod:`monopath.paths`; and ``dict_downset_labels``, the label recursion over
-dicts keyed by tuples, for the label tables of :mod:`monopath.paths`
-indexed by colex rank.  The extremal colorings have references too, for
+:mod:`monopath.paths`; and ``dict_label_vectors`` with
+``dict_downset_labels``, the label recursion over dicts keyed by tuples,
+for the label tables of :mod:`monopath.paths`, indexed by colex rank and
+read off the forward tables of a path scan.  The extremal colorings have references too, for
 the builds in :mod:`monopath.colorings` that color a whole back window from
 pairwise tables at once: ``delta_chain_colors`` reduces every edge's delta
 chain on its own, and ``first_difference_colors`` compares first
@@ -321,7 +322,8 @@ def dict_longest_mono(coloring, wm, want_witnesses: bool = True):
 
 
 def dict_label_vectors(coloring, wm) -> dict:
-    """C(w) for every window tuple, with the units of ``label_vectors``."""
+    """C(w) for every window tuple, with the units of the label vector stage
+    of ``_label_levels``: one per window and one per edge."""
     k, q, big = coloring.k, coloring.q, coloring.N
     wm.charge(comb(big, k - 1))
     fvals = _dict_forward(coloring, wm)
@@ -332,19 +334,13 @@ def dict_label_vectors(coloring, wm) -> dict:
 
 
 def dict_downset_labels(coloring, n: int, r: int, budget) -> dict:
-    """The labels of ``downset_labels`` by the recursion over dicts keyed by
-    tuples, with its meters: one unit per (x, t) pair, one at a time, after
-    the containment masks of the universe one level down."""
-    from monopath.paths import LabelEscape
-
+    """The labels of all r-tuples, for an n that no color's longest path
+    reaches, by the recursion over dicts keyed by tuples, with the meters of
+    ``_label_levels``: one unit per (x, t) pair, one at a time, after the
+    containment masks of the universe one level down."""
     k, q, big = coloring.k, coloring.q, coloring.N
     wm = meter(budget, f"label vectors on {coloring.num_edges} edges")
     upper = dict_label_vectors(coloring, wm)
-    # the first escape in colex order: by last vertex, then the one before
-    for w in sorted(upper, key=lambda w: w[::-1]):
-        for c, entry in enumerate(upper[w], start=1):
-            if entry > n:
-                raise LabelEscape(w, c, entry, n)
     if r == k - 1:
         return upper
     wm = meter(budget, "down-set label recursion")
@@ -355,13 +351,14 @@ def dict_downset_labels(coloring, n: int, r: int, budget) -> dict:
         top = top.parent
     for j in range(k - 2, r - 1, -1):
         lower = unis[k - j]
-        pmask = lower.principal_masks(wm)
+        pmask = [pm | 1 << i for i, pm in enumerate(lower.pred_masks(wm))]
+        index = {el: i for i, el in enumerate(lower.elements)}
         level = {}
         for t in combinations(range(1, big), j):
             acc = 0
             for x in range(t[0]):
                 wm.charge()
-                acc |= pmask[lower.index_of(upper.get((x,) + t, 0))]
+                acc |= pmask[index[upper.get((x,) + t, 0)]]
             level[t] = acc
         upper = level
     return {t: upper.get(t, 0) for t in combinations(range(big), r)}

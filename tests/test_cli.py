@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import sys
 import time
 from math import comb
 
@@ -384,3 +385,29 @@ def test_coloring_length_checked_without_the_binomial(tmp_path, capsys):
         assert main(["verify", "--file", str(path), "--n", "2"]) == 2
         assert capsys.readouterr().err == (
             f"error: expected {shown} colors for N={n_vertices}, k={k}, got 0\n")
+
+
+@pytest.mark.parametrize("argv", [
+    "construct --family random --k 3 --q 300 --N 5",
+    "construct --family 3uniform --q 300 --bounds " + ",".join(["1"] * 299 + ["2"]),
+], ids=["random", "3uniform"])
+def test_construct_rejects_colors_past_a_byte(capsys, argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv.split()) == 2
+    assert capsys.readouterr().err == "error: at most 255 colors (one byte per edge), got 300\n"
+
+
+def test_values_past_the_str_digit_limit_print_in_full(capsys):
+    # C(20000, 10000) has 6020 digits, past the interpreter's 4300 for str()
+    code, doc = run_json(capsys, "formula", "--kind", "p1", "--n", "10000")
+    assert code == 0
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert doc["value"] == str(comb(20000, 10000))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    # the conversion is paid for: 313^2 = 97969 units
+    assert main(["formula", "--kind", "p1", "--n", "10000", "--budget", "97968"]) == 3
+    assert capsys.readouterr().err == (
+        "budget exhausted: decimal output: exceeded work budget of 97968 units\n")

@@ -20,13 +20,12 @@ from monopath.colorings import (
 from monopath.subsets import colex_rank
 from monopath.paths import (
     Certificate,
-    LabelEscape,
     MonotonePath,
     _extract_collision_path,
+    _grid_point,
     _label_levels,
-    downset_labels,
+    _stored_label,
     injectivity_certificate,
-    label_vectors,
     longest_mono,
     validate_path,
 )
@@ -145,6 +144,17 @@ def _witness_vertices(scan):
     return {c: (w.vertices if w is not None else None) for c, w in scan.witnesses.items()}
 
 
+def _labels(col, n, r, budget, forward):
+    """The labels of all r-tuples, keyed by tuple, read off the tables of
+    ``_label_levels``: grid points for r = k - 1, masks below."""
+    k = col.k
+    levels = _label_levels(col, n, r, budget, forward)
+    tuples = combinations(range(col.N), r)
+    if r == k - 1:
+        return {t: _grid_point(_stored_label(levels, k, t), n, col.q) for t in tuples}
+    return {t: _stored_label(levels, k, t) for t in tuples}
+
+
 @pytest.mark.parametrize("make", _reference_cases())
 def test_sweeps_match_dict_reference(make):
     col = make()
@@ -156,13 +166,11 @@ def test_sweeps_match_dict_reference(make):
         assert wm.used == ref_wm.used
         if want:
             assert _witness_vertices(scan) == wits
-    wm, ref_wm = WorkMeter(10**9), WorkMeter(10**9)
-    assert label_vectors(col, budget=wm) == dict_label_vectors(col, ref_wm)
-    assert wm.used == ref_wm.used
     # the forward tables of a scan stand in for the sweep, at its units
+    scan = longest_mono(col, want_witnesses=False)
     wm, ref_wm = WorkMeter(10**9), WorkMeter(10**9)
-    forward = longest_mono(col, want_witnesses=False).forward
-    assert label_vectors(col, budget=wm, forward=forward) == dict_label_vectors(col, ref_wm)
+    got = _labels(col, scan.overall_max + 1, col.k - 1, wm, scan.forward)
+    assert got == dict_label_vectors(col, ref_wm)
     assert wm.used == ref_wm.used
 
 
@@ -206,7 +214,7 @@ def _settle(run, budget):
     """run(budget)'s value, or its exception's type and message."""
     try:
         return run(budget)
-    except (BudgetExceeded, LabelEscape) as exc:
+    except BudgetExceeded as exc:
         return f"{type(exc).__name__}: {exc}"
 
 
@@ -230,16 +238,15 @@ def _check_against_references(col):
         assert wm.used == ref_wm.used
         assert _settle(paths, limit) == _settle(
             lambda b: dict_longest_mono(col, b), WorkMeter(limit, label))
+    # labels exist for the n that no color reaches
+    n = scan.overall_max + 1
     wm, ref_wm = WorkMeter(10**9), WorkMeter(10**9)
-    assert label_vectors(col, budget=wm) == dict_label_vectors(col, ref_wm)
+    assert _labels(col, n, col.k - 1, wm, scan.forward) == dict_label_vectors(col, ref_wm)
     assert wm.used == ref_wm.used
-    top = scan.overall_max
-    for n, r in {(max(top, 1), 1), (top + 1, 1), (top + 1, col.k - 1)}:
-        if col.k == 2 and r != 1:
-            continue
+    for r in {1, col.k - 1}:
 
         def labels(b):
-            return downset_labels(col, n, r, budget=b)
+            return _labels(col, n, r, b, scan.forward)
 
         def reference(b):
             return dict_downset_labels(col, n, r, b)
@@ -283,6 +290,7 @@ def test_collision_walk_rebuilds_first_predecessor_path(k, q, N, seed):
     # but the chosen step: (u, v) has the point (2, ..., 2) of [3]^q, (x0, u)
     # the point (3, ..., 3) and every other window (1, ..., 1)
     col = random_coloring(k, q, N, seed=seed)
+    forward = longest_mono(col, want_witnesses=False).forward
     n = 3
     twos = sum(n**i for i in range(q))  # the grid index of (2, ..., 2)
     for u, v in combinations(range(N), 2):
@@ -297,7 +305,7 @@ def test_collision_walk_rebuilds_first_predecessor_path(k, q, N, seed):
             grid[colex_rank((x0, u))] = 2 * twos
             levels = {2: grid}
             t = (x0, u, v)
-        path = _extract_collision_path(col, levels, n, u, v, None)
+        path = _extract_collision_path(col, levels, forward, n, u, v, None)
         assert path.vertices == dict_pred_path(col, t)
         assert path.color == col.color_of(t)
         assert validate_path(col, path)
@@ -341,24 +349,25 @@ def test_kuniform_lower_is_extremal(k, n):
     lambda: random_coloring(3, 2, 7, seed=1),
 ])
 def test_label_vectors_satisfy_extension(make):
+    # C(w) = 1 + L(w) per color, read off the scan's forward tables
     col = make()
-    labels = label_vectors(col)
+    forward = longest_mono(col, want_witnesses=False).forward
     for edge, c in col.edges():
         front, back = edge[:-1], edge[1:]
-        assert labels[back][c - 1] > labels[front][c - 1]
+        assert forward[c][colex_rank(back)] > forward[c][colex_rank(front)]
 
 
 def test_label_vectors_bound_on_extremal():
     n = 3
     col = color_3uniform_lower(2, n)
-    labels = label_vectors(col)
-    assert all(1 <= x <= n for lab in labels.values() for x in lab)
-    assert len(labels) == len(list(combinations(range(col.N), 2)))
+    forward = longest_mono(col, want_witnesses=False).forward
+    assert all(1 <= x + 1 <= n for tab in forward[1:] for x in tab)
+    assert [len(tab) for tab in forward[1:]] == [comb(col.N, 2)] * 2
 
 
 def test_downset_labels_distinct_on_extremal():
     col = color_3uniform_lower(2, 3)
-    labs = downset_labels(col, 3, 1)
+    labs = _labels(col, 3, 1, None, longest_mono(col, want_witnesses=False).forward)
     assert len(labs) == col.N
     assert len(set(labs.values())) == col.N
 
@@ -368,9 +377,10 @@ def test_downset_labels_are_ideals():
     from monopath.universes import build_universe
 
     col = color_kuniform_lower(4, 2)
+    forward = longest_mono(col, want_witnesses=False).forward
     for level in (1, 2):
         pred = build_universe(col.k - level, 2, 2).pred_masks()
-        labs = downset_labels(col, 2, level)
+        labs = _labels(col, 2, level, None, forward)
         assert labs
         for mask in labs.values():
             rest = mask
@@ -388,17 +398,19 @@ def test_stored_labels_are_paid_for():
     k = 12
     big = k + 1
     col = EdgeColoring(k=k, q=1, N=big, colors=[1] * big)
+    forward = longest_mono(col, want_witnesses=False).forward
     used = {}
     for r in range(k - 1, 0, -1):
         wm = WorkMeter(10**7)
-        levels = _label_levels(col, 5, r, wm)
+        levels = _label_levels(col, 5, r, wm, forward)
         used[r] = wm.used
     for j in range(1, k - 1):
         assert len(levels[j]) == comb(big - 1, j)
         assert used[j] - used[j + 1] >= comb(big, j + 1) >= len(levels[j])
-    labs = downset_labels(col, 5, 3)
+    labs = _labels(col, 5, 3, None, forward)
     assert list(labs) == list(combinations(range(k + 1), 3))
     assert labs[(0, 1, 2)] == 0 and all(labs[t] for t in labs if t[0])
+    assert labs == dict_downset_labels(col, 5, 3, None)
 
 
 def test_wide_k_labels_hold_little_per_unit():
@@ -418,13 +430,19 @@ def test_wide_k_labels_hold_little_per_unit():
     assert peak / wm.used < 50
 
 
-def test_downset_labels_escape():
-    # a coloring with a long path pushes some window label past n
-    col = random_coloring(3, 2, 12, seed=0)
-    assert longest_mono(col, want_witnesses=False).overall_max > 2
-    with pytest.raises(LabelEscape) as err:
-        downset_labels(col, 2, 1)
-    assert err.value.entry > 2
+def test_labels_pay_for_the_grid_masks_before_building_it():
+    # the labels of this 6-color file live in the grid [8]^6, whose 262144
+    # points would be compared pairwise, 3.4*10^10 units: the budget runs
+    # out before the points are built (48 MB when they were)
+    col = random_coloring(3, 6, 12, seed=5)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded, match="^down-set label recursion: "):
+            injectivity_certificate(col, 8, budget=10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 10**6
 
 
 # --- pigeonhole certificates ------------------------------------------------------
@@ -491,10 +509,10 @@ def test_certificate_reads_labels_off_the_scan(monkeypatch, make, n):
     cert = injectivity_certificate(col, n, budget=wm)
     assert cert.status == "distinct"
     assert sweeps == [False, True]
-    # billed as the label sweep it saves: scan, then labels swept afresh
+    # billed as the scan, then the label stage replaying its forward sweep
     scan_wm, label_wm = WorkMeter(10**9), WorkMeter(10**9)
-    longest_mono(col, budget=scan_wm)
-    _label_levels(col, n, 1, label_wm)
+    forward = longest_mono(col, budget=scan_wm).forward
+    _label_levels(col, n, 1, label_wm, forward)
     assert wm.used == scan_wm.used + label_wm.used
 
 
@@ -517,8 +535,7 @@ def test_certificate_runs_out_where_a_fresh_label_sweep_does(make, n):
     for limit in (labels - 1, labels, labels + col.num_edges - 1, labels + col.num_edges):
 
         def fresh(wm):
-            longest_mono(col, budget=wm)
-            _label_levels(col, n, 1, wm)
+            _label_levels(col, n, 1, wm, longest_mono(col, budget=wm).forward)
             return "distinct"
 
         got = _outcome(lambda wm: injectivity_certificate(col, n, budget=wm).status, limit)
