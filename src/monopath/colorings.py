@@ -33,15 +33,16 @@ single digits is written and read as one strided byte slice, the
 comma-separated digits of the compact JSON text (see ``EdgeColoring.save``
 and ``EdgeColoring.load``).
 
-The two hypergraph builds never follow an edge on its own.  Each tabulates
-its pairwise step once (first differences of the partition arrays; delta at
-every universe level, and the first rising coordinate of grid points).  The
-edges (a,) + b with the same back window b are consecutive in colex order,
-and b alone fixes a map from one table entry of the pair (a, b[0]) to the
-edge's color, so a window's colors are one lookup each.  Windows that fix
-the same map share it.  Units pay for the edges, every table cell, and each
-distinct map, all before they are built, so no table grows faster than the
-budget.
+No build follows an edge on its own.  Each tabulates its pairwise step
+once: the graph and 3-uniform builds share one table of the first
+differences of their sorted points, and the k-uniform build tabulates delta
+at every universe level, and the first rising coordinate of grid points.
+The edges (a,) + b with the same back window b are consecutive in colex
+order, and b alone fixes a map from one table entry of the pair (a, b[0])
+to the edge's color, so a window's colors are one lookup each.  Windows
+that fix the same map share it; the graph has one map, position p to color
+p + 1.  Units pay for the edges, every table cell, and each distinct map,
+all before they are built, so no table grows faster than the budget.
 """
 
 from __future__ import annotations
@@ -51,9 +52,11 @@ import os
 import random
 import re
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, combinations, product
-from math import comb
+from math import comb, prod
+from operator import mul, ne
 
 from .budget import meter
 from .subsets import colex_rank, subsets_colex
@@ -292,7 +295,8 @@ def _fit_colors(q: int) -> None:
 def color_graph_lower(q: int, n: int, *, budget: int | None = None) -> EdgeColoring:
     """The first-rising-coordinate coloring of the complete graph on [n]^q.
 
-    Units: one per edge, charged before the build.
+    Units: one per edge, charged before the build; they also cover the
+    first-difference table, one entry per edge.
     """
     if q < 1 or n < 1:
         raise ValueError("need q >= 1 and n >= 1")
@@ -300,17 +304,10 @@ def color_graph_lower(q: int, n: int, *, budget: int | None = None) -> EdgeColor
     meter(budget, f"graph coloring over [{n}]^{q}").charge(comb(n**q, 2))
     verts = sorted(product(range(1, n + 1), repeat=q))
     big = len(verts)
-    colors = array("B")
-    for j in range(big):
-        y = verts[j]
-        for i in range(j):
-            x = verts[i]
-            for t in range(q):
-                if x[t] < y[t]:
-                    colors.append(t + 1)
-                    break
-            else:
-                raise AssertionError("distinct lex-sorted points must rise somewhere")
+    # lex-sorted points rise where they first differ; every window maps
+    # position p to color p + 1
+    colors = _color_windows(big, 2, _first_differences(verts), lambda b: 0,
+                            lambda key: range(1, q + 1))
     return EdgeColoring(
         k=2,
         q=q,
@@ -328,16 +325,9 @@ def _monotone_arrays(shape: tuple[int, ...], bound: int, wm) -> list[tuple[int, 
     one per cell of every array emitted, which covers both the cells the
     odometer refills and the array's copy into the output.
     """
-    cells = 1
-    for s in shape:
-        cells *= s
+    cells = prod(shape)
     wm.charge(cells)
-    strides = []
-    acc = 1
-    for s in reversed(shape):
-        strides.append(acc)
-        acc *= s
-    strides.reverse()
+    strides = list(accumulate(reversed(shape[1:]), mul, initial=1))[::-1]
     # the offsets back to each cell's neighbours one step down an axis
     backs = [[strides[t] for t, c in enumerate(cell) if c > 0]
              for cell in product(*(range(s) for s in shape))]
@@ -367,7 +357,23 @@ def _monotone_arrays(shape: tuple[int, ...], bound: int, wm) -> list[tuple[int, 
         start = flat + 1
 
 
-def _color_windows(big: int, k: int, lefts: list, key_of, build_map, wm) -> array:
+def _first_differences(verts: list) -> list[list[int]]:
+    """pd[j][i], the first position where sorted points i < j differ.
+
+    That is the least first difference of the neighbours between them, so
+    it rises with i, and row j is row j - 1 cut down to the newest one.
+    """
+    pd = [[]]
+    row: list[int] = []
+    for j, (u, v) in enumerate(zip(verts, verts[1:]), 1):
+        step = list(map(ne, u, v)).index(True)
+        cut = bisect_right(row, step)
+        row = row[:cut] + [step] * (j - cut)
+        pd.append(row)
+    return pd
+
+
+def _color_windows(big: int, k: int, lefts: list, key_of, build_map) -> array:
     """Colors of all k-subsets of range(big) in colex order, one back window
     b = (v1, ..., v_{k-1}) at a time.
 
@@ -442,14 +448,8 @@ def color_3uniform_lower(
     big = len(verts)
     wm.charge(comb(big, 3))
 
-    # sorted vertices first differ at the minimum position over the
-    # neighbouring pairs between them
     wm.charge(comb(big, 2))
-    steps = [
-        next(pos for pos, (x, y) in enumerate(zip(u, v)) if x != y)
-        for u, v in zip(verts, verts[1:])
-    ]
-    pd = [list(accumulate(steps[j - 1 :: -1], min))[::-1] if j else [] for j in range(big)]
+    pd = _first_differences(verts)
     idx_tuples = list(product(*(range(1, s + 1) for s in shape)))
 
     def window_map(p: int) -> list[int]:
@@ -460,7 +460,7 @@ def color_3uniform_lower(
             for d_ab in idx_tuples
         ]
 
-    colors = _color_windows(big, 3, pd, lambda b: pd[b[1]][b[0]], window_map, wm)
+    colors = _color_windows(big, 3, pd, lambda b: pd[b[1]][b[0]], window_map)
     nested = [_nest(shape, v) for v in verts]
     params = {"q": q, "bounds": list(bounds)}
     if bounds == (bounds[0],) * q:
@@ -474,9 +474,7 @@ def color_3uniform_lower(
 def _nest(shape: tuple[int, ...], flat: tuple[int, ...]):
     if not shape:
         return flat[0]
-    stride = 1
-    for s in shape[1:]:
-        stride *= s
+    stride = prod(shape[1:])
     return [_nest(shape[1:], flat[i * stride : (i + 1) * stride]) for i in range(shape[0])]
 
 
@@ -562,7 +560,7 @@ def color_kuniform_lower(
                 f = map(cols[r].__getitem__, f)
             return list(map(rises[key[-1]].__getitem__, f))
 
-        colors = _color_windows(big, k, ups, key_of, window_map, wm)
+        colors = _color_windows(big, k, ups, key_of, window_map)
     return EdgeColoring(
         k=k,
         q=d,

@@ -31,8 +31,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, product
-from math import comb, prod
+from itertools import accumulate, islice, product
+from math import comb
+from operator import mul
 
 from .budget import WorkMeter, memoized, meter
 
@@ -146,7 +147,7 @@ def count_box_partitions(
 def _frontier_dp(shape: tuple[int, ...], bound: int, wm: WorkMeter) -> int:
     """The kernel of ``count_box_partitions`` for a non-empty shape."""
     m = len(shape)
-    strides = [prod(shape[t + 1 :]) for t in range(m)]
+    strides = list(accumulate(reversed(shape[1:]), mul, initial=1))[::-1]
     window = strides[0]
     bits = max(1, bound.bit_length())
     mask = (1 << bits) - 1
@@ -285,20 +286,22 @@ def enumerate_order_ideals(pred_masks: list[int], wm: WorkMeter) -> list[int]:
 def count_rho(k: int, d: int, n: int, *, budget=None) -> int:
     """Size of the order-k universe over [n]^d.
 
-    Order 2 is the grid itself (n^d structures) and order 3 is its number of
+    Order 2 is the grid itself, n^d structures, paid one unit per 64-bit
+    limb of that power before it is taken, and order 3 is its number of
     down-sets, handled by the frontier DP.  For k >= 4 the order-k structures
     are the down-sets of the order-(k-1) universe, so the count materializes
     that universe and counts its order ideals; all stages share one meter.
     """
     if k < 2:
         raise ValueError("order must be >= 2")
-    if k == 2:
-        return GridBox(n, d).size
     if k == 3:
         return count_downsets(GridBox(n, d), budget=budget)
+    wm = meter(budget, f"size of order-{k} universe (d={d}, n={n})")
+    if k == 2:
+        wm.charge(d * n.bit_length() // 64 + 1)  # an upper bound on n^d's 64-bit limbs
+        return GridBox(n, d).size
     from .universes import build_universe
 
-    wm = meter(budget, f"size of order-{k} universe (d={d}, n={n})")
     parent = build_universe(k - 1, d, n, budget=wm, scan=wm)
     return count_order_ideals(
         parent.pred_masks(),

@@ -8,29 +8,28 @@ the longest color-c path ending with window w satisfies
     L_c(w) = max over color-c edges {t} u w, t < min(w), of 1 + L_c(front)
 
 and processing edges in colex order makes every front value final before it
-is read.  Each sweep keeps one flat list per color, indexed by window rank,
-and walks the colex window index of :mod:`monopath.subsets`: per window, the
-colors of its incoming edges and the values of their front windows are two
-runs of consecutive ranks, so the same loop serves every k.  A mirrored
-sweep in reverse colex order yields R_c(w), the longest color-c path
-starting with window w, which drives witness reconstruction: growing the
-vertex sequence from the front and always taking the smallest feasible next
-vertex returns the lexicographically smallest maximum-length witness.
+is read.  A scan sweeps once, keeping one flat list per color, indexed by
+window rank, and walks the colex window index of :mod:`monopath.subsets`:
+per window, the colors of its incoming edges and the values of their front
+windows are two runs of consecutive ranks, so the same loop serves every k.
+The same L_c tables give the witnesses.  Walking back from a window, each
+step takes the first front, by its new vertex, that is one shorter in the
+color; from the least-ranked window holding the color's maximum that walk
+returns the colex-least longest path, the one whose reversed vertex
+sequence is least.
 
 A sweep takes a window's run of incoming edges in one of two steps.  The
-per-edge step reads or writes one front value per edge.  The mask step
-takes the run whole: its colors become one int, a byte per edge, and the
-windows b that share the fronts of the run (those with the same b[:-1], the
-front group) share, per color, one mask of the fronts of each value.
-Forward, the highest-valued mask the run's color-c edges meet gives L_c(b);
-in reverse, the run's color-c edges are ORed into the group's mask for
-R_c(b) + 1, and each front reads its value off the group's masks when the
-sweep reaches it.  The mask step pays a fixed cost per window and per group
-that the per-edge step does not, so only runs of at least ``FORWARD_CUT``
-(``REVERSE_CUT``) edges take it.  Those cuts were measured on the extremal
-colorings: the 3-uniform ones have runs of up to N - 2 edges and groups of
-many windows, and gain most; the small random colorings have no run that
-long and keep the per-edge step they are fastest with.
+per-edge step reads one front value per edge.  The mask step takes the run
+whole: its colors become one int, a byte per edge, and the windows b that
+share the fronts of the run (those with the same b[:-1], the front group)
+share, per color, one mask of the fronts of each value.  The
+highest-valued mask the run's color-c edges meet gives L_c(b).  The mask
+step pays a fixed cost per window and per group that the per-edge step
+does not, so only runs of at least ``FORWARD_CUT`` edges take it.  That cut
+was measured on the extremal colorings: the 3-uniform ones have runs of up
+to N - 2 edges and groups of many windows, and gain most; the small random
+colorings have no run that long and keep the per-edge step they are
+fastest with.
 
 On top of the DP sits the pigeonhole certificate.  When no color reaches
 length n, the label vector of a window, C(w) = (1 + L_1(w), ..., 1 +
@@ -42,10 +41,11 @@ tables.  Down-set labels extend them to shorter tuples,
 ending with one order-k structure per vertex.  These vertex labels are
 pairwise distinct, which certifies the bound on N; a collision would
 contradict the DP, and the extraction walk turns it into a path longer
-than the DP's own maximum.  The label tables are lists indexed by colex
-rank: in colex order the tuples (x,) + t, x < t[0], of one t are
-consecutive, and over all t in turn they are the whole level above, so
-each label is one OR over the next run.
+than the DP's own maximum, rebuilt by the walk back that gives the
+witnesses.  The label tables are lists indexed by colex rank: in colex
+order the tuples (x,) + t, x < t[0], of one t are consecutive, and over all
+t in turn they are the whole level above, so each label is one OR over the
+next run.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ from operator import or_
 
 from .budget import meter
 from .colorings import EdgeColoring
-from .subsets import colex_rank, colex_walk, colex_windows
+from .subsets import colex_rank, colex_unrank, colex_walk, colex_windows
 from .universes import Universe, build_universe
 
 
@@ -98,8 +98,9 @@ def validate_path(coloring: EdgeColoring, path: MonotonePath) -> bool:
 class PathScan:
     """Per-color maxima (and witnesses) of longest_mono.
 
-    ``forward`` keeps the forward sweep's L_c tables, so the labels of the
-    same coloring are read off them instead of a second sweep.
+    ``forward`` keeps the sweep's L_c tables, which the witnesses were
+    rebuilt from, so the labels of the same coloring are read off them
+    instead of a second sweep.
     """
 
     per_color_max: dict[int, int]
@@ -111,10 +112,9 @@ class PathScan:
         return max(self.per_color_max.values())
 
 
-# the shortest run of incoming edges that takes the mask step, per sweep
-# (measured: below it the per-edge step is faster)
+# the shortest run of incoming edges that takes the mask step (measured:
+# below it the per-edge step is faster)
 FORWARD_CUT = 16
-REVERSE_CUT = 20
 
 
 def _value_masks(values: bytes, shift: int) -> list[tuple[int, int]]:
@@ -129,25 +129,11 @@ def _value_masks(values: bytes, shift: int) -> list[tuple[int, int]]:
     ]
 
 
-def _front_values(masks: dict[int, int], shift: int, span: int) -> bytes:
-    """Per position, the largest v whose mask holds it (0 for none), as bytes.
+def _sweep(coloring: EdgeColoring, windows, wm) -> list:
+    """L_c per window rank, one flat list per color.
 
-    Taking the values in increasing order, each one overwrites the bytes of
-    its mask: ``sel * 255`` covers them and ``sel * v`` writes v there.
-    """
-    out = 0
-    for v in sorted(masks):
-        sel = masks[v] >> shift
-        out = out & ~(sel * 255) | sel * v
-    return out.to_bytes(span, "little")
-
-
-def _sweep(coloring: EdgeColoring, windows, wm, reverse: bool) -> list:
-    """L_c (forward) or R_c (reverse) per window rank, one flat list per color.
-
-    The forward sweep takes the edges in colex order, so every front value
-    is final before it is read; the reverse sweep takes them backwards, so
-    every back value is.  One unit per edge.
+    The edges are taken in colex order, so every front value is final before
+    it is read.  One unit per edge.
 
     A run shorter than the cut steps edge by edge; a longer one takes the
     mask step (see the module docstring).  The run becomes one int, whose
@@ -156,137 +142,92 @@ def _sweep(coloring: EdgeColoring, windows, wm, reverse: bool) -> list:
     rank of its first front, share one mask per color and value.  Masks hold
     colors as bits of a byte and values as bytes, so they serve q <= 8 and
     paths of at most 254 edges (a path has at most N - k + 1), and k >= 3,
-    where a group's fronts are final before its first window and its
-    windows are all done before its first front.
+    where a group's windows share one first vertex, so one run length, and
+    its fronts are final before its first window.
     """
     colors = coloring.colors
     wm.charge(len(colors))
     q = coloring.q
     tabs = [None] + [[0] * len(windows) for _ in range(q)]
-    color_tabs = tabs[1:]
-    cut = REVERSE_CUT if reverse else FORWARD_CUT
+    cut = FORWARD_CUT
     span = coloring.N - coloring.k + 1  # the longest run and the longest path
     if q > 8 or coloring.k < 3 or not cut <= span < 255:
         cut = span + 1
     else:
         raw = bytes(colors)
         onehot = bytes([0] + [1 << s for s in range(q)] + [0] * (255 - q))
-        # the bits of color c in a run
-        ones = [int.from_bytes(bytes((1 << s,)) * span, "little") for s in range(q)]
     groups: dict[int, list] = {}
-    if not reverse:
-        for w, (e0, f0, m) in enumerate(windows):
-            if m < cut:
-                for c, f in zip(colors[e0 : e0 + m], range(f0, f0 + m)):
-                    tab = tabs[c]
-                    cand = tab[f] + 1
-                    if cand > tab[w]:
-                        tab[w] = cand
-                continue
-            ranked = groups.get(f0)
-            if ranked is None:
-                ranked = groups[f0] = [
-                    (tab, _value_masks(bytes(tab[f0 : f0 + m]), s))
-                    for s, tab in enumerate(color_tabs)
-                ]
-            run = int.from_bytes(raw[e0 : e0 + m].translate(onehot), "little")
-            for tab, pairs in ranked:
-                for v, mask in pairs:
-                    if run & mask:
-                        tab[w] = v
-                        break
-    else:
-        fronts: dict[int, list] = {}
-        for w in range(len(windows) - 1, -1, -1):
-            e0, f0, m = windows[w]
-            # w = (m,) + g is the front at position m of the group of g, keyed
-            # by the rank w - m of (0,) + g; position 0 is its last front
-            key = w - m
-            values = fronts.get(key)
-            if values is None and key in groups:
-                values = fronts[key] = [
-                    _front_values(masks, s, span) for s, masks in enumerate(groups.pop(key))
-                ]
-            if values is not None:
-                for tab, vals in zip(color_tabs, values):
-                    tab[w] = vals[m]
-                if m == 0:
-                    del fronts[key]
-            if m < cut:
-                for c, f in zip(colors[e0 : e0 + m], range(f0, f0 + m)):
-                    tab = tabs[c]
-                    cand = tab[w] + 1
-                    if cand > tab[f]:
-                        tab[f] = cand
-                continue
-            grp = groups.get(f0)
-            if grp is None:
-                grp = groups[f0] = [{} for _ in range(q)]
-            run = int.from_bytes(raw[e0 : e0 + m].translate(onehot), "little")
-            for tab, masks, bits in zip(color_tabs, grp, ones):
-                row = run & bits
-                if row:
-                    v = tab[w] + 1
-                    masks[v] = masks.get(v, 0) | row
+    for w, (e0, f0, m) in enumerate(windows):
+        if m < cut:
+            for c, f in zip(colors[e0 : e0 + m], range(f0, f0 + m)):
+                tab = tabs[c]
+                cand = tab[f] + 1
+                if cand > tab[w]:
+                    tab[w] = cand
+            continue
+        ranked = groups.get(f0)
+        if ranked is None:
+            ranked = groups[f0] = [
+                (tab, _value_masks(bytes(tab[f0 : f0 + m]), s))
+                for s, tab in enumerate(tabs[1:])
+            ]
+        run = int.from_bytes(raw[e0 : e0 + m].translate(onehot), "little")
+        for tab, pairs in ranked:
+            for v, mask in pairs:
+                if run & mask:
+                    tab[w] = v
+                    break
     return tabs
 
 
-def _lexmin_witness(coloring, color, lmax, rtab: list, wm) -> MonotonePath:
-    """Grow the lex-least path of length lmax from the reverse table R_color.
+def _path_back(coloring: EdgeColoring, windows, ltab: list, color: int, rank: int, wm) -> tuple:
+    """The vertices of a longest color-``color`` path ending with the window
+    of ``rank``, rebuilt from that color's forward table ``ltab``.
 
-    The start is the lex-least window w with R_color(w) = lmax.  One walk
-    over the windows in rank order finds it, comparing the walk's one list
-    in place and copying a window only when it is a new least.
+    Each step goes back to the first front a whose edge has the color and
+    whose value is one less; every such path steps back through one, so
+    from the least-ranked window of a value this is the path of that length
+    whose reversed vertex sequence is least.  One unit per candidate a.
     """
-    k, big = coloring.k, coloring.N
     colors = coloring.colors
-    least = None
-    for val, b in zip(rtab, colex_walk(big, k - 1)):
-        if val == lmax and (least is None or b < least):
-            least = b.copy()
-    w = tuple(least)
-    verts = list(w)
-    for need in range(lmax - 1, -1, -1):
-        for v in range(w[-1] + 1, big):
-            wm.charge()
-            back = w[1:] + (v,)
-            if colors[colex_rank(w + (v,))] == color and rtab[colex_rank(back)] == need:
-                break
-        else:
-            raise AssertionError("reverse DP admits no continuation")
-        verts.append(v)
-        w = back
-    return MonotonePath(k=k, color=color, vertices=tuple(verts))
+    window = colex_unrank(rank, coloring.k - 1)
+    fronts = []
+    while ltab[rank]:
+        e0, f0, m = windows[rank]
+        want = ltab[rank] - 1
+        a = next(a for a in range(m) if colors[e0 + a] == color and ltab[f0 + a] == want)
+        wm.prepay(a + 1)
+        fronts.append(a)
+        rank = f0 + a
+    return tuple(reversed(fronts)) + window
 
 
 def longest_mono(
     coloring: EdgeColoring, *, want_witnesses: bool = True, budget: int | None = None
 ) -> PathScan:
-    """Exact per-color longest monotone path lengths, with lex-least witnesses.
+    """Exact per-color longest monotone path lengths, with colex-least witnesses.
 
     Witnesses are None for colors with no edge at all (maximum 0: any k-1
     vertices form a trivial path with no edges).  Units: one per window, one
-    per edge for each sweep, and one per witness probe.
+    per edge, and one per candidate front of a witness step.
     """
     if coloring.k < 2:
         raise ValueError("paths need k >= 2")
     q = coloring.q
     wm = meter(budget, f"path DP on {coloring.num_edges} edges")
-    # the window index, each sweep and the witness search walk every window,
+    # the window index, the sweep and the witness starts walk every window,
     # and at wide k windows far outnumber edges: one unit each, paid first
     wm.charge(comb(coloring.N, coloring.k - 1))
     windows = colex_windows(coloring.N, coloring.k)
-    fwd = _sweep(coloring, windows, wm, reverse=False)
+    fwd = _sweep(coloring, windows, wm)
     maxima = {c: max(fwd[c], default=0) for c in range(1, q + 1)}
     if not want_witnesses:
         return PathScan(per_color_max=maxima, forward=fwd)
-    rev = _sweep(coloring, windows, wm, reverse=True)
     wits = {
-        c: (
-            _lexmin_witness(coloring, c, maxima[c], rev[c], wm)
-            if maxima[c] > 0
-            else None
-        )
+        c: MonotonePath(k=coloring.k, color=c, vertices=_path_back(
+            coloring, windows, fwd[c], c, fwd[c].index(maxima[c]), wm))
+        if maxima[c] > 0
+        else None
         for c in range(1, q + 1)
     }
     return PathScan(per_color_max=maxima, witnesses=wits, forward=fwd)
@@ -404,8 +345,9 @@ def _extract_collision_path(
     """Walk a label collision down to a path contradicting the forward DP.
 
     ``levels`` are the tables of ``_label_levels`` for target length n, and
-    ``forward`` the L_c tables they were read off, which the path is
-    rebuilt from.
+    ``forward`` the L_c tables they were read off.  The path ends with the
+    k-tuple the walk reaches, and the rest is rebuilt from ``forward`` by
+    ``_path_back``, as the witnesses are.
     """
     k, q = coloring.k, coloring.q
     wm = meter(budget, "collision walk")
@@ -415,7 +357,6 @@ def _extract_collision_path(
         grid_level = len(t) == k - 1
         if grid_level:
             cur = _grid_point(cur, n, q)
-        found = None
         for x in range(t[0]):
             wm.charge()
             other = _stored_label(levels, k, (x,) + t[:-1])
@@ -424,26 +365,14 @@ def _extract_collision_path(
             else:
                 ok = cur & ~other == 0
             if ok:
-                found = x
                 break
-        if found is None:
+        else:
             raise AssertionError("label collision walk found no containment step")
-        t = (found,) + t
+        t = (x,) + t
     col = coloring.color_of(t)
     windows = colex_windows(coloring.N, k)
-    ltab = forward[col]
-    colors = coloring.colors
-    seq = list(t[:-1])
-    rank = colex_rank(t[:-1])
-    # step back to the first front, by its new vertex a, one shorter in color col
-    while ltab[rank]:
-        e0, f0, m = windows[rank]
-        want = ltab[rank] - 1
-        a = next(a for a in range(m) if colors[e0 + a] == col and ltab[f0 + a] == want)
-        seq.insert(0, a)
-        rank = f0 + a
-    seq.append(t[-1])
-    return MonotonePath(k=k, color=col, vertices=tuple(seq))
+    seq = _path_back(coloring, windows, forward[col], col, colex_rank(t[:-1]), wm)
+    return MonotonePath(k=k, color=col, vertices=seq + (t[-1],))
 
 
 def injectivity_certificate(

@@ -26,6 +26,25 @@ def colex_rank(t: tuple[int, ...]) -> int:
     return sum(comb(v, i + 1) for i, v in enumerate(t))
 
 
+def colex_unrank(rank: int, r: int) -> tuple[int, ...]:
+    """The r-subset with colex rank ``rank``, inverse of ``colex_rank``.
+
+    Greedy from the last vertex, the largest v with C(v, r) <= rank, in a
+    loop: O(last vertex + r) binomials whatever r is.
+    """
+    v = r - 1
+    while comb(v + 1, r) <= rank:
+        v += 1
+    out = []
+    for i in range(r, 0, -1):
+        while comb(v, i) > rank:
+            v -= 1
+        out.append(v)
+        rank -= comb(v, i)
+        v -= 1
+    return tuple(reversed(out))
+
+
 def colex_walk(n: int, r: int) -> Iterator[list[int]]:
     """Every r-subset of range(n) in colex order, as one list changed in place.
 

@@ -229,31 +229,19 @@ def brute_longest(coloring) -> dict[int, int]:
 
 
 def brute_witness(coloring, color: int, length: int) -> tuple[int, ...] | None:
-    """Lexicographically first vertex sequence of a monochromatic path.
-
-    Starting edges come out of ``combinations`` in lexicographic order and
-    extensions are tried in ascending order, so the first hit is the lex-min
-    sequence with exactly ``length`` edges in the given color.
+    """The colex-least vertex sequence of a monochromatic path: of all the
+    sequences with exactly ``length`` edges in the given color, the one
+    whose reverse is lexicographically least.  Every vertex subset of the
+    right size is tried.
     """
     k = coloring.k
-    want = length + k - 1
-
-    def grow(seq: list[int]) -> tuple[int, ...] | None:
-        if len(seq) == want:
-            return tuple(seq)
-        for v in range(seq[-1] + 1, coloring.N):
-            if coloring.color_of(tuple(seq[-(k - 1) :]) + (v,)) == color:
-                got = grow(seq + [v])
-                if got is not None:
-                    return got
-        return None
-
-    for first in combinations(range(coloring.N), k):
-        if coloring.color_of(first) == color:
-            got = grow(list(first))
-            if got is not None:
-                return got
-    return None
+    best = None
+    for seq in combinations(range(coloring.N), length + k - 1):
+        if best is not None and seq[::-1] >= best:
+            continue
+        if all(coloring.color_of(seq[i : i + k]) == color for i in range(length)):
+            best = seq[::-1]
+    return None if best is None else best[::-1]
 
 
 def _dict_forward(coloring, wm):
@@ -269,43 +257,30 @@ def _dict_forward(coloring, wm):
     return vals
 
 
-def _dict_reverse(coloring, wm):
-    """R_c per window tuple, edges swept in reverse colex order."""
-    vals: list[dict] = [{} for _ in range(coloring.q + 1)]
-    wm.charge(coloring.num_edges)
-    for edge, c in reversed(list(coloring.edges())):
-        front, back = edge[:-1], edge[1:]
-        v = vals[c]
-        cand = v.get(back, 0) + 1
-        if cand > v.get(front, 0):
-            v[front] = cand
-    return vals
-
-
-def _dict_witness(coloring, color, lmax, rvals: dict, wm) -> tuple[int, ...]:
-    start = min(w for w, val in rvals.items() if val == lmax)
-    verts = list(start)
-    w = start
-    need = lmax
-    while need > 0:
-        for v in range(w[-1] + 1, coloring.N):
+def _dict_witness(coloring, color, lmax, fvals: dict, wm) -> tuple[int, ...]:
+    """A path of lmax edges, rebuilt backwards from L_color: from the
+    colex-least window of value lmax, step back to the least a whose edge
+    (a,) + w has the color and whose front is one shorter."""
+    w = min((w for w, val in fvals.items() if val == lmax), key=lambda t: t[::-1])
+    verts = list(w)
+    for need in range(lmax - 1, -1, -1):
+        for a in range(w[0]):
             wm.charge()
-            back = w[1:] + (v,)
-            if coloring.color_of(w + (v,)) == color and rvals.get(back, 0) == need - 1:
-                verts.append(v)
-                w = back
-                need -= 1
+            front = (a,) + w[:-1]
+            if coloring.color_of((a,) + w) == color and fvals.get(front, 0) == need:
+                verts.insert(0, a)
+                w = front
                 break
         else:
-            raise AssertionError("reverse DP admits no continuation")
+            raise AssertionError("forward DP admits no predecessor")
     return tuple(verts)
 
 
 def dict_longest_mono(coloring, wm, want_witnesses: bool = True):
     """(maxima, witness vertex tuples or None) by the dict-of-tuples path DP.
 
-    Same units as ``longest_mono``: one per window, one per edge per sweep,
-    one per witness probe.
+    Same units as ``longest_mono``: one per window, one per edge for the
+    one sweep, one per candidate a a witness step examines.
     """
     q = coloring.q
     wm.charge(comb(coloring.N, coloring.k - 1))
@@ -313,9 +288,8 @@ def dict_longest_mono(coloring, wm, want_witnesses: bool = True):
     maxima = {c: max(fvals[c].values(), default=0) for c in range(1, q + 1)}
     if not want_witnesses:
         return maxima, None
-    rvals = _dict_reverse(coloring, wm)
     wits = {
-        c: _dict_witness(coloring, c, maxima[c], rvals[c], wm) if maxima[c] > 0 else None
+        c: _dict_witness(coloring, c, maxima[c], fvals[c], wm) if maxima[c] > 0 else None
         for c in range(1, q + 1)
     }
     return maxima, wits

@@ -356,6 +356,30 @@ def test_verify_pays_for_containment_masks(tmp_path, capsys):
         "budget exhausted: down-set label recursion: exceeded work budget of 1000000 units\n")
 
 
+def test_rho_order_2_pays_before_its_power(capsys):
+    # 3^(10^7) has 1.6*10^7 bits; taking the power took seconds unpaid
+    t0 = time.perf_counter()
+    assert main(["count", "--kind", "rho", "--k", "2", "--d", "10000000", "--n", "3",
+                 "--budget", "10"]) == 3
+    assert time.perf_counter() - t0 < 1.0
+    assert capsys.readouterr().err == (
+        "budget exhausted: size of order-2 universe (d=10000000, n=3): "
+        "exceeded work budget of 10 units\n")
+    code, doc = run_json(capsys, "count", "--kind", "rho", "--k", "2", "--d", "3", "--n", "5",
+                         "--budget", "1")
+    assert code == 0 and doc["value"] == "125"
+
+
+def test_partitions_with_many_axes_end_on_budget(capsys):
+    # 20000 axes of 3: a product per axis for the strides took O(d^2) big-int
+    # work before the first unit was charged
+    t0 = time.perf_counter()
+    assert main(["count", "--kind", "partitions", "--d", "20000", "--n", "3",
+                 "--budget", "10"]) == 3
+    assert time.perf_counter() - t0 < 5.0
+    assert capsys.readouterr().err.startswith("budget exhausted: partition count in shape (3, 3,")
+
+
 def test_construct_one_long_bound_ends_on_budget(capsys, tmp_path):
     # 1201 vertices, one per weakly decreasing 0/1 sequence of length 1200
     argv = ["--budget", "1000", "construct", "--family", "3uniform", "--q", "2",

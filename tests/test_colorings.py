@@ -299,8 +299,7 @@ def test_window_fill_matches_edge_by_edge_reference(k, top):
             maps[key] = [rng.randint(1, 4) for _ in range(top + 1)]
         return maps[key]
 
-    wm = WorkMeter(limit=10**6)
-    got = _color_windows(big, k, lefts, key_of, build_map, wm)
+    got = _color_windows(big, k, lefts, key_of, build_map)
     assert got.tobytes() == window_map_colors(big, k, lefts, key_of, build_map).tobytes()
     assert len(got) == comb(big, k)
 

@@ -82,23 +82,31 @@ def test_longest_matches_brute_random(seed, k):
     assert longest_mono(col, want_witnesses=False).per_color_max == brute_longest(col)
 
 
-def test_witnesses_are_lex_min():
-    for seed in range(12):
-        col = random_coloring(3, 2, 7, seed=seed)
+# the random file shapes verify-mix builds: (k, q) and N
+VERIFY_MIX_SHAPES = [(3, q, big) for q in (2, 3) for big in range(8, 15)] + [
+    (4, q, big) for q in (2, 3) for big in range(7, 12)]
+
+
+def test_witnesses_are_colex_min():
+    # the longest path whose reversed vertex sequence is least; a lex-least
+    # rule gives another path on many of these colorings
+    for i, (k, q, big) in enumerate(VERIFY_MIX_SHAPES * 2):
+        col = random_coloring(k, q, big, seed=1000 + i)
         scan = longest_mono(col)
-        for c in (1, 2):
+        for c in range(1, q + 1):
             w = scan.witnesses[c]
             if w is None:
                 continue
             assert w.vertices == brute_witness(col, c, scan.per_color_max[c])
 
 
-def test_witnesses_are_lex_min_graph_and_k4():
+def test_witnesses_are_colex_min_graph_and_k4():
     col = color_graph_lower(2, 3)
     scan = longest_mono(col)
     for c in (1, 2):
         assert scan.witnesses[c].vertices == brute_witness(col, c, 2)
-    col = random_coloring(4, 2, 9, seed=11)
+    # both colors' lex-least longest paths differ from the colex-least ones
+    col = random_coloring(4, 2, 9, seed=19)
     scan = longest_mono(col)
     for c in (1, 2):
         w = scan.witnesses[c]
@@ -501,14 +509,14 @@ def test_certificate_reads_labels_off_the_scan(monkeypatch, make, n):
     sweep = paths._sweep
 
     def counted(*args, **kwargs):
-        sweeps.append(kwargs["reverse"])
+        sweeps.append(args)
         return sweep(*args, **kwargs)
 
     monkeypatch.setattr(paths, "_sweep", counted)
     wm = WorkMeter(10**9)
     cert = injectivity_certificate(col, n, budget=wm)
     assert cert.status == "distinct"
-    assert sweeps == [False, True]
+    assert len(sweeps) == 1
     # billed as the scan, then the label stage replaying its forward sweep
     scan_wm, label_wm = WorkMeter(10**9), WorkMeter(10**9)
     forward = longest_mono(col, budget=scan_wm).forward

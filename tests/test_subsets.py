@@ -4,7 +4,7 @@ from math import comb
 from hypothesis import given
 from hypothesis import strategies as st
 
-from monopath.subsets import colex_rank, colex_windows, subsets_colex
+from monopath.subsets import colex_rank, colex_unrank, colex_windows, subsets_colex
 
 
 def test_colex_rank_small():
@@ -24,6 +24,17 @@ def test_enumeration_matches_rank(n, r):
 def test_enumeration_is_sorted_subsets(n, r):
     seq = set(subsets_colex(n, r))
     assert seq == set(combinations(range(n), r))
+
+
+@given(st.integers(min_value=0, max_value=9), st.integers(min_value=1, max_value=4))
+def test_colex_unrank_inverts_rank(n, r):
+    for t in subsets_colex(n, r):
+        assert colex_unrank(colex_rank(t), len(t)) == t
+
+
+def test_colex_unrank_deeper_than_recursion_limit():
+    for t in subsets_colex(1501, 1500):
+        assert colex_unrank(colex_rank(t), 1500) == t
 
 
 def test_colex_primary_key_is_last_vertex():
