@@ -4,26 +4,21 @@ A monotone path of length L in the complete k-uniform hypergraph on vertices
 1 < 2 < ... < N is a sequence x_1 < ... < x_{L+k-1} whose L consecutive
 k-windows are all edges; length counts edges.  The colorings built here are
 the extremal certificates for the lower bounds on the associated Ramsey
-numbers:
+numbers, and all of them come from one rule.  The vertices are the order-k
+structures over a box, in the universe order of :mod:`monopath.universes`,
+which extends containment.  An edge's k structures are reduced by delta,
+pair by pair, k - 2 times; that leaves two grid points x and y with x not
+containing y, and the edge gets the first coordinate where x is below y.
+The three families are its cases:
 
-* ``color_graph_lower`` (k = 2): vertices are the points of [n]^q in
-  lexicographic order; the edge {x, y} with x before y is colored by the
-  first coordinate where x is strictly smaller.  A color-i path must raise
-  coordinate i at every step, so no color admits a path of length n.
-
-* ``color_3uniform_lower`` (k = 3): vertices are the (q-1)-dimensional
-  partition arrays with entries 0..n, sorted lexicographically by flattened
-  entries.  For an edge A < B < C let delta(A, B) be the first index where
-  A and B differ (likewise delta(B, C)); the edge gets the smallest
-  coordinate i where delta(B, C) exceeds delta(A, B), and the extra color q
-  when there is none.  Per-coordinate bounds generalize the square case.
-
-* ``color_kuniform_lower`` (k >= 3, d colors): vertices are the order-k
-  structures over [n]^d in their universe order.  Reducing an edge's k
-  structures by delta pairwise k-2 times leaves two grid points x and y
-  with x not containing y; the edge gets the smallest coordinate where x is
-  strictly below y.  At k = 3 and d = 2 this reproduces the two-color
-  3-uniform rule edge for edge.
+* ``color_graph_lower``, k = 2 over [n]^q: the points in lexicographic
+  order, an edge colored by the first coordinate where its ends differ.
+  A color-i path raises coordinate i at every step, so none has length n.
+* ``color_3uniform_lower``, k = 3 over [n_1] x ... x [n_q]: the down-sets of
+  the box, that is the weakly decreasing arrays of their column heights, in
+  lexicographic order.  Color i has no monotone path of length n_i.
+* ``color_kuniform_lower``, k >= 3 over [n]^d, with the d coordinates as
+  colors.
 
 Colors are stored 1-based in a flat byte array indexed by the colex rank of
 the sorted edge, which gives O(1) lookup and bit-exact files.  Every pass
@@ -33,16 +28,14 @@ single digits is written and read as one strided byte slice, the
 comma-separated digits of the compact JSON text (see ``EdgeColoring.save``
 and ``EdgeColoring.load``).
 
-No build follows an edge on its own.  Each tabulates its pairwise step
-once: the graph and 3-uniform builds share one table of the first
-differences of their sorted points, and the k-uniform build tabulates delta
+No build follows an edge on its own.  ``_iterated_delta`` tabulates delta
 at every universe level, and the first rising coordinate of grid points.
 The edges (a,) + b with the same back window b are consecutive in colex
 order, and b alone fixes a map from one table entry of the pair (a, b[0])
 to the edge's color, so a window's colors are one lookup each.  Windows
-that fix the same map share it; the graph has one map, position p to color
-p + 1.  Units pay for the edges, every table cell, and each distinct map,
-all before they are built, so no table grows faster than the budget.
+that fix the same map share it.  The universe and the colors are paid on
+one meter: units pay for the edges, every table cell, and each distinct
+map, all before they are built, so no table grows faster than the budget.
 """
 
 from __future__ import annotations
@@ -54,9 +47,9 @@ import re
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate, combinations, product
+from itertools import accumulate, combinations
 from math import comb, prod
-from operator import mul, ne
+from operator import ne, xor
 
 from .budget import meter
 from .subsets import colex_rank, subsets_colex
@@ -293,80 +286,30 @@ def _fit_colors(q: int) -> None:
 
 
 def color_graph_lower(q: int, n: int, *, budget: int | None = None) -> EdgeColoring:
-    """The first-rising-coordinate coloring of the complete graph on [n]^q.
+    """The iterated-delta coloring of the complete graph on [n]^q, k = 2.
 
-    Units: one per edge, charged before the build; they also cover the
-    first-difference table, one entry per edge.
+    Units: those of ``build_universe`` and ``_iterated_delta``, on one meter.
     """
     if q < 1 or n < 1:
         raise ValueError("need q >= 1 and n >= 1")
     _fit_colors(q)
-    meter(budget, f"graph coloring over [{n}]^{q}").charge(comb(n**q, 2))
-    verts = sorted(product(range(1, n + 1), repeat=q))
-    big = len(verts)
-    # lex-sorted points rise where they first differ; every window maps
-    # position p to color p + 1
-    colors = _color_windows(big, 2, _first_differences(verts), lambda b: 0,
-                            lambda key: range(1, q + 1))
-    return EdgeColoring(
-        k=2,
-        q=q,
-        N=big,
-        colors=colors,
-        labels=[list(v) for v in verts],
-        meta={"family": "graph", "params": {"q": q, "n": n}},
-    )
+    wm = meter(budget, f"graph coloring over [{n}]^{q}")
+    uni = build_universe(2, (n,) * q, budget=wm)
+    return EdgeColoring(k=2, q=q, N=uni.size, colors=_iterated_delta(uni, wm),
+                        labels=[list(v) for v in uni.elements],
+                        meta={"family": "graph", "params": {"q": q, "n": n}})
 
 
-def _monotone_arrays(shape: tuple[int, ...], bound: int, wm) -> list[tuple[int, ...]]:
-    """All weakly decreasing arrays, generated in lex order of flat entries.
+def _first_differences(steps: list[int]) -> list[list[int]]:
+    """pd[j][i], the first position where sorted elements i < j differ,
+    from ``steps[j - 1]``, the first position where elements j - 1 and j do.
 
-    Units: one per cell, paid before the per-cell offset lists are built, and
-    one per cell of every array emitted, which covers both the cells the
-    odometer refills and the array's copy into the output.
-    """
-    cells = prod(shape)
-    wm.charge(cells)
-    strides = list(accumulate(reversed(shape[1:]), mul, initial=1))[::-1]
-    # the offsets back to each cell's neighbours one step down an axis
-    backs = [[strides[t] for t, c in enumerate(cell) if c > 0]
-             for cell in product(*(range(s) for s in shape))]
-    out: list[tuple[int, ...]] = []
-    entries = [0] * cells
-    caps = [0] * cells
-    # an odometer instead of recursion, which would go one level per cell:
-    # fill the cells from ``start`` on with their smallest value, emit, then
-    # raise the last cell still below its cap
-    start = 0
-    while True:
-        wm.charge(cells)
-        for flat in range(start, cells):
-            cap = bound
-            for off in backs[flat]:
-                if entries[flat - off] < cap:
-                    cap = entries[flat - off]
-            caps[flat] = cap
-            entries[flat] = 0
-        out.append(tuple(entries))
-        flat = cells - 1
-        while flat >= 0 and entries[flat] == caps[flat]:
-            flat -= 1
-        if flat < 0:
-            return out
-        entries[flat] += 1
-        start = flat + 1
-
-
-def _first_differences(verts: list) -> list[list[int]]:
-    """pd[j][i], the first position where sorted points i < j differ.
-
-    That is the least first difference of the neighbours between them, so
-    it rises with i, and row j is row j - 1 cut down to the newest one.
+    That is the least step between them, so it rises with i, and row j is
+    row j - 1 cut down to the newest step.
     """
     pd = [[]]
     row: list[int] = []
-    for j, (u, v) in enumerate(zip(verts, verts[1:]), 1):
-        step = list(map(ne, u, v)).index(True)
+    for j, step in enumerate(steps, 1):
         cut = bisect_right(row, step)
         row = row[:cut] + [step] * (j - cut)
         pd.append(row)
@@ -418,18 +361,14 @@ def color_3uniform_lower(
     bounds: tuple[int, ...] | None = None,
     budget: int | None = None,
 ) -> EdgeColoring:
-    """The delta-comparison coloring of the complete 3-uniform hypergraph.
+    """The iterated-delta coloring of the complete 3-uniform hypergraph on
+    the down-sets of the box [n_1] x ... x [n_q], k = 3.
 
     Square case: ``n`` bounds every coordinate.  Rectangular case: ``bounds``
     gives (n_1, ..., n_q) and color i admits no monotone path of length n_i.
+    The labels are the down-sets' arrays of column heights, nested by axis.
 
-    The build tabulates the first differing flat position pd[j][i] of every
-    vertex pair i < j, each row a running minimum over the differences of
-    neighbours in the sorted vertex list.  The back window (b, c) fixes
-    pd[c][b], and that position alone maps pd[b][a] to the color of the edge
-    (a, b, c): one map per distinct position, over all positions.  Units:
-    one per cell while the vertices are generated (see ``_monotone_arrays``),
-    one per edge, one per cell of ``pd``, and one per position for each map.
+    Units: those of ``build_universe`` and ``_iterated_delta``, on one meter.
     """
     if q < 2:
         raise ValueError("need q >= 2 colors")
@@ -442,108 +381,117 @@ def color_3uniform_lower(
         raise ValueError("give n or bounds, not both")
     if len(bounds) != q or any(b < 1 for b in bounds):
         raise ValueError(f"bounds must be {q} positive integers, got {bounds}")
-    shape, top = tuple(bounds[: q - 1]), bounds[q - 1]
     wm = meter(budget, f"3-uniform coloring with bounds {bounds}")
-    verts = _monotone_arrays(shape, top, wm)
-    big = len(verts)
-    wm.charge(comb(big, 3))
-
-    wm.charge(comb(big, 2))
-    pd = _first_differences(verts)
-    idx_tuples = list(product(*(range(1, s + 1) for s in shape)))
-
-    def window_map(p: int) -> list[int]:
-        wm.charge(len(idx_tuples))
-        d_bc = idx_tuples[p]
-        return [
-            next((t + 1 for t in range(q - 1) if d_bc[t] > d_ab[t]), q)
-            for d_ab in idx_tuples
-        ]
-
-    colors = _color_windows(big, 3, pd, lambda b: pd[b[1]][b[0]], window_map)
-    nested = [_nest(shape, v) for v in verts]
+    uni = build_universe(3, bounds, budget=wm)
+    colors = _iterated_delta(uni, wm)
+    labels = [_heights(tuple(bounds), m) for m in uni.elements]
     params = {"q": q, "bounds": list(bounds)}
     if bounds == (bounds[0],) * q:
         params["n"] = bounds[0]
-    return EdgeColoring(
-        k=3, q=q, N=big, colors=colors, labels=nested,
-        meta={"family": "3uniform", "params": params},
-    )
+    return EdgeColoring(k=3, q=q, N=uni.size, colors=colors, labels=labels,
+                        meta={"family": "3uniform", "params": params})
 
 
-def _nest(shape: tuple[int, ...], flat: tuple[int, ...]):
-    if not shape:
-        return flat[0]
-    stride = prod(shape[1:])
-    return [_nest(shape[1:], flat[i * stride : (i + 1) * stride]) for i in range(shape[0])]
+def _heights(box: tuple[int, ...], mask: int):
+    """The down-set ``mask`` of ``box`` as its column heights, nested by axis.
+
+    The grid lists the points of each slice of the first axis together, so
+    a slice is one run of bits, and a column's height is its count of bits.
+    """
+    if len(box) == 1:
+        return mask.bit_count()
+    run = prod(box[1:])
+    return [_heights(box[1:], mask >> (i * run) & (1 << run) - 1) for i in range(box[0])]
 
 
-def _delta_columns(uni, wm, square: bool) -> list[list[int]]:
-    """cols[j][i] = index in the parent level of delta(els[i], els[j]).
+def _delta_columns(uni, wm) -> list[list[int]]:
+    """cols[j][i] = index in the parent level of delta(els[i], els[j]), for
+    every ordered pair, with -1 where delta is undefined.
 
-    ``square`` tabulates every ordered pair, with -1 where delta is undefined;
-    each column ends with -1 and one last column is all -1, so an undefined
-    index stays undefined through every later lookup.  Otherwise only i < j,
-    where the universe order, which extends containment, makes delta
-    defined.  One unit per pair, paid first.
+    Each column ends with -1 and one last column is all -1, so an undefined
+    index stays undefined through every later lookup.  One unit per pair,
+    paid first.
     """
     els = uni.elements
-    size = len(els)
-    wm.charge(size * size if square else comb(size, 2))
-    cols = []
-    for j, b in enumerate(els):
-        col = []
-        for a in els if square else els[:j]:
-            diff = b & ~a
-            col.append((diff & -diff).bit_length() - 1 if diff else -1)
-        if square:
-            col.append(-1)
-        cols.append(col)
-    if square:
-        cols.append([-1] * (size + 1))
-    return cols
+    wm.charge(len(els) ** 2)
+    # the lowest set bit of b & ~a, and -1 where there is none
+    cols = [[((diff := b & ~a) & -diff).bit_length() - 1 for a in els] + [-1] for b in els]
+    return cols + [[-1] * (len(els) + 1)]
 
 
 def color_kuniform_lower(
     k: int, n: int, d: int = 2, *, budget: int | None = None
 ) -> EdgeColoring:
-    """The iterated-delta coloring of the complete k-uniform hypergraph.
+    """The iterated-delta coloring of the complete k-uniform hypergraph on
+    the order-k structures over [n]^d, k >= 3, with d colors.
 
-    Vertices are the order-k structures over [n]^d in universe order; colors
-    are the d grid coordinates.
-
-    The build tabulates, level by level, the parent index of delta for the
-    pairs its chains meet: the top level's ascending pairs, every ordered
-    pair below it (a reduced chain need not ascend), and the first rising
-    coordinate of every ordered pair of grid points.  Reducing a back window
-    b = (v1, ..., v_{k-1}) once fixes the right-hand element of the first
-    pair at each lower level, and so a map from x = delta(v0, v1) to the
-    color of the edge (v0,) + b.  Maps are shared by the windows with the
-    same right-hand elements.  Units (besides the universe's own): one per
-    edge, one per table cell, and one per level-(k-1) element for each map.
+    Units: those of ``build_universe`` and ``_iterated_delta``, on one meter.
     """
     if k < 3:
         raise ValueError("need k >= 3")
     _fit_colors(d)
-    uni = build_universe(k, d, n, budget=budget)
-    big = uni.size
     wm = meter(budget, f"{k}-uniform coloring over [{n}]^{d}")
-    colors = array("B")
-    if big >= k:
-        wm.charge(comb(big, k))
-        ups = _delta_columns(uni, wm, square=False)
-        lower = []  # levels k-1 down to 3
-        level = uni.parent
-        while level.k > 2:
-            lower.append(_delta_columns(level, wm, square=True))
-            level = level.parent
-        # color 0 where no coordinate rises, and for an undefined index
-        points = level.elements
-        wm.charge(len(points) ** 2)
-        rises = [
-            [next((t + 1 for t in range(d) if x[t] < y[t]), 0) for x in points] + [0]
-            for y in points
-        ] + [[0] * (len(points) + 1)]
+    uni = build_universe(k, (n,) * d, budget=wm)
+    return EdgeColoring(k=k, q=d, N=uni.size, colors=_iterated_delta(uni, wm),
+                        labels=[uni.element_json(el) for el in uni.elements],
+                        meta={"family": "kuniform", "params": {"k": k, "d": d, "n": n}})
+
+
+def _iterated_delta(uni, wm) -> array:
+    """The iterated-delta colors of the complete k-uniform hypergraph on the
+    elements of the order-k universe ``uni``, k = ``uni.k`` >= 2.
+
+    The build tabulates delta, as an index one level down, for the pairs the
+    reduced chains meet: the top level's ascending pairs, every ordered pair
+    of levels k-1 down to 3 (a reduced chain need not ascend), and the
+    first rising coordinate of every ordered pair of grid points.  In
+    universe order, delta of an ascending pair is where the two first
+    differ: the first differing coordinate of points, the lowest set bit of
+    ``u ^ v`` for masks.  So the top table is ``_first_differences``.
+
+    Reducing a back window b = (v1, ..., v_{k-1}) once fixes the right-hand
+    element of the first pair at each lower level, and so a map from
+    x = delta(v0, v1) to the color of the edge (v0,) + b.  Windows with the
+    same right-hand elements share their map.  At k = 3 that key is one
+    lookup, and at k = 2 there is one map, position p to color p + 1.
+
+    Units: one per edge, one per table cell, and one per level-(k-1)
+    element for each map, each paid before it is built.
+    """
+    k, els = uni.k, uni.elements
+    big = len(els)
+    if big < k:
+        return array("B")
+    wm.charge(comb(big, k) + comb(big, 2))
+    if k == 2:
+        ups = _first_differences([list(map(ne, u, v)).index(True) for u, v in zip(els, els[1:])])
+        shift = range(1, len(els[0]) + 1)
+        return _color_windows(big, 2, ups, lambda b: 0, lambda key: shift)
+    ups = _first_differences([(x & -x).bit_length() - 1 for x in map(xor, els, els[1:])])
+    lower = []  # levels k-1 down to 3
+    level = uni.parent
+    while level.k > 2:
+        lower.append(_delta_columns(level, wm))
+        level = level.parent
+    # color 0 where no coordinate rises, and for an undefined index
+    points = level.elements
+    wm.charge(len(points) ** 2)
+    rises = [
+        [next((t for t, (a, b) in enumerate(zip(x, y), 1) if a < b), 0) for x in points] + [0]
+        for y in points
+    ] + [[0] * (len(points) + 1)]
+    width = uni.parent.size
+
+    if k == 3:  # one pair in the chain: its right-hand point is the key
+
+        def key_of(b: tuple[int, ...]) -> int:
+            return ups[b[1]][b[0]]
+
+        def window_map(y: int) -> list[int]:
+            wm.charge(width)
+            return rises[y]
+
+    else:
 
         def key_of(b: tuple[int, ...]) -> tuple[int, ...]:
             chain = [ups[y][x] for x, y in zip(b, b[1:])]
@@ -554,21 +502,13 @@ def color_kuniform_lower(
             return tuple(key)
 
         def window_map(key: tuple[int, ...]) -> list[int]:
-            wm.charge(uni.parent.size)
-            f = range(uni.parent.size + 1)
+            wm.charge(width)
+            f = range(width + 1)
             for cols, r in zip(lower, key):
                 f = map(cols[r].__getitem__, f)
             return list(map(rises[key[-1]].__getitem__, f))
 
-        colors = _color_windows(big, k, ups, key_of, window_map)
-    return EdgeColoring(
-        k=k,
-        q=d,
-        N=big,
-        colors=colors,
-        labels=[uni.element_json(el) for el in uni.elements],
-        meta={"family": "kuniform", "params": {"k": k, "d": d, "n": n}},
-    )
+    return _color_windows(big, k, ups, key_of, window_map)
 
 
 def random_coloring(

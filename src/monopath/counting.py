@@ -58,6 +58,14 @@ class GridBox:
         return list(product(range(1, self.n + 1), repeat=self.d))
 
 
+def box_text(box: tuple[int, ...]) -> str:
+    """The box with these sides as text: [n]^d when all d sides are n, else
+    the sides as [n_1]x[n_2]x..., so a long square box stays short."""
+    if len(set(box)) == 1:
+        return f"[{box[0]}]^{len(box)}"
+    return "x".join(f"[{side}]" for side in box)
+
+
 # --- closed forms -------------------------------------------------------------
 
 
@@ -125,9 +133,10 @@ def count_box_partitions(
     states dominate memory, so the budget bounds the frontier, not just the
     time).  They are billed in bulk, for a batch of states that together
     cannot reach the limit.  Once fewer units are left than one state can
-    bill, each state is billed unit by unit through the meter, so a miss
-    raises at exactly the unit count, and with the message, of a charge per
-    transition.
+    bill, each state is billed unit by unit through the meter, every
+    transition and new state before it is stored, so a miss raises at
+    exactly the unit count, and with the message, of a charge per
+    transition, and holds no state it has not paid for.
 
     Results, budget misses included, are kept in the process-wide memo of
     :mod:`monopath.budget`, which replays their units on a repeat.
@@ -136,9 +145,9 @@ def count_box_partitions(
         raise ValueError("bound must be >= 0")
     if any(s < 1 for s in shape):
         raise ValueError(f"shape entries must be >= 1, got {shape}")
-    wm = meter(budget, f"partition count in shape {shape} bound {bound}")
     if not shape:
         return bound + 1
+    wm = meter(budget, f"partition count in shape {box_text(shape)} bound {bound}")
     shape = tuple(shape)
     return memoized(("count_box_partitions", shape, bound), wm,
                     lambda: _frontier_dp(shape, bound, wm))
@@ -155,10 +164,12 @@ def _frontier_dp(shape: tuple[int, ...], bound: int, wm: WorkMeter) -> int:
     per_state = (bound + 1) * (window + 1)  # the most units one state bills
     used = wm.used
     states: dict[int, int] = {0: 1}
-    for index, cell in enumerate(product(*(range(s) for s in shape))):
+    # the cells in lexicographic order, by index: ``product`` of the axis
+    # ranges would first store every range, memory no unit pays for
+    for index in range(window * shape[0]):
         if index == window:
             full = (1 << (bits * window)) - 1
-        shifts = [(strides[t] - 1) * bits for t in range(m) if cell[t] > 0]
+        shifts = [(strides[t] - 1) * bits for t in range(m) if index // strides[t] % shape[t]]
         nxt: dict[int, int] = {}
         get = nxt.get
         items = iter(states.items())
@@ -176,25 +187,27 @@ def _frontier_dp(shape: tuple[int, ...], bound: int, wm: WorkMeter) -> int:
                     if v < cap:
                         cap = v
                 extra += cap
-                # most states make one to three transitions, and a while
-                # loop is cheaper for them than building a range per state
                 nw = (win << bits) & full
                 top = nw + cap
+                if not room:
+                    break
+                # most states make one to three transitions, and a while
+                # loop is cheaper for them than building a range per state
                 while nw <= top:
                     nxt[nw] = get(nw, 0) + cnt
                     nw += 1
-            fresh = len(nxt) - size
             if room:
-                used += batch + extra + window * fresh
+                used += batch + extra + window * (len(nxt) - size)
                 continue
-            # this one state may cross the limit: bill its transitions in
-            # order, each new state right after the transition that made it
-            new = set(islice(reversed(nxt), fresh))
+            # this one state may cross the limit: bill each transition, and
+            # each new state, before it is stored
             wm.used = used
-            for nw in range(top - cap, top + 1):
+            while nw <= top:
                 wm.charge()
-                if nw in new:
+                if nw not in nxt:
                     wm.charge(window)
+                nxt[nw] = get(nw, 0) + cnt
+                nw += 1
             used = wm.used
         states = nxt
     wm.used = used
@@ -302,7 +315,7 @@ def count_rho(k: int, d: int, n: int, *, budget=None) -> int:
         return GridBox(n, d).size
     from .universes import build_universe
 
-    parent = build_universe(k - 1, d, n, budget=wm, scan=wm)
+    parent = build_universe(k - 1, (n,) * d, budget=wm, scan=wm)
     return count_order_ideals(
         parent.pred_masks(),
         budget=wm,

@@ -283,7 +283,7 @@ def _label_levels(
     wm = meter(budget, "down-set label recursion")
     # size j labels are masks over the order-(k-j) universe: orders 2..k-r
     lowers: list[Universe] = []
-    u = build_universe(k - r, q, n, budget=budget, scan=wm)
+    u = build_universe(k - r, (n,) * q, budget=budget, scan=wm)
     while u is not None:
         lowers.insert(0, u)
         u = u.parent

@@ -1,6 +1,6 @@
-"""Recursive universes of order-k structures over a grid.
+"""Recursive universes of order-k structures over a box.
 
-The order-2 universe over [n]^d is the grid itself; its structures are
+The order-2 universe over the box [n_1] x ... x [n_d] is the grid of its
 points, contained in one another via the coordinatewise order.  For k >= 3
 an order-k structure is a down-set of the order-(k-1) universe, stored as a
 bitmask over the parent's element list (bit i = the i-th smallest parent
@@ -25,14 +25,14 @@ containment.
 from __future__ import annotations
 
 from itertools import product
-from math import comb
+from math import comb, prod
 
 from .budget import WorkMeter, meter
-from .counting import enumerate_order_ideals
+from .counting import box_text, enumerate_order_ideals
 
 
 class Universe:
-    """The set of all order-k structures over [n]^d, sorted ascending."""
+    """The set of all order-k structures over a box, sorted ascending."""
 
     def __init__(self, k, elements, parent=None):
         self.k = k
@@ -110,27 +110,31 @@ def _mask_sort_key(mask: int, width: int) -> int:
 
 
 def build_universe(
-    k: int, d: int, n: int, *, budget: int | None = None, scan: WorkMeter | None = None
+    k: int, box: tuple[int, ...], *, budget: int | None = None, scan: WorkMeter | None = None
 ) -> Universe:
-    """Materialize the chain of universes up to order k and return the top one.
+    """Materialize the chain of universes up to order k over the box with
+    sides ``box`` and return the top one; [n]^d is the box ``(n,) * d``.
 
     Each universe below the top pays for its containment masks, which the
     ideals of the next order are enumerated from; the meter ``scan``, when
     given, pays for the top universe's masks too, and they are built with
     it.  The grid's masks are paid before its points are built, so a
-    budget that cannot pay for them stops the build before [n]^d takes any
-    memory.
+    budget that cannot pay for them stops the build before the grid takes
+    any memory.
     """
     if k < 2:
         raise ValueError("order must be >= 2")
-    if d < 1 or n < 1:
+    box = tuple(box)
+    if not box or min(box) < 1:
         raise ValueError("need d >= 1 and n >= 1")
-    wm = meter(budget, f"universe of order {k} over [{n}]^{d}")
-    wm.charge(n**d)
+    wm = meter(budget, f"universe of order {k} over {box_text(box)}")
+    points = prod(box)
+    wm.charge(points)
     grid_payer = wm if k > 2 else scan
     if grid_payer is not None:
-        grid_payer.prepay(comb(n**d + 1, 2))
-    uni = Universe(2, sorted(product(range(1, n + 1), repeat=d)))
+        grid_payer.prepay(comb(points + 1, 2))
+    # a product of ascending ranges lists the points in lexicographic order
+    uni = Universe(2, product(*(range(1, side + 1) for side in box)))
     if grid_payer is not None:
         uni.pred_masks()  # paid above
     for order in range(3, k + 1):

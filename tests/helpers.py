@@ -318,7 +318,7 @@ def dict_downset_labels(coloring, n: int, r: int, budget) -> dict:
     if r == k - 1:
         return upper
     wm = meter(budget, "down-set label recursion")
-    top = build_universe(k - 1, q, n, budget=budget)
+    top = build_universe(k - 1, (n,) * q, budget=budget)
     unis = {}
     while top is not None:
         unis[top.k] = top
@@ -394,7 +394,7 @@ def delta_chain_colors(k: int, n: int, d: int = 2) -> array:
     """The k-uniform coloring edge by edge: reduce the edge's k structures by
     ``Universe.delta`` k-2 times, then take the first coordinate where the
     left grid point is below the right one."""
-    uni = build_universe(k, d, n)
+    uni = build_universe(k, (n,) * d)
     els = uni.elements
     colors = array("B")
     for edge in sorted(combinations(range(uni.size), k), key=lambda e: e[::-1]):
@@ -408,11 +408,12 @@ def delta_chain_colors(k: int, n: int, d: int = 2) -> array:
     return colors
 
 
-def window_keys(k: int, n: int, d: int = 2) -> set[tuple]:
+def window_keys(k: int, box: tuple[int, ...]) -> set[tuple]:
     """The distinct right-hand elements, one per level, of the reduced delta
-    chain of every back window with a vertex before it: the per-window maps
-    the k-uniform build pays for."""
-    uni = build_universe(k, d, n)
+    chain of every back window with a vertex before it, over the order-k
+    universe of ``box``: the per-window maps the iterated-delta build pays
+    for (k >= 3)."""
+    uni = build_universe(k, box)
     els = uni.elements
     keys = set()
     for window in combinations(range(1, uni.size), k - 1):

@@ -125,7 +125,7 @@ def test_ac4_upper_direction_at_q2_n2():
 def test_ac5_fourth_order_at_n2():
     t0 = time.perf_counter()
     rho = count_rho(4, 2, 2)
-    oracle = len(brute_ideal_masks(build_universe(3, 2, 2).pred_masks()))
+    oracle = len(brute_ideal_masks(build_universe(3, (2, 2)).pred_masks()))
     ok = rho == oracle == 8
     scan = longest_mono(color_kuniform_lower(4, 2), want_witnesses=False)
     ok &= all(v <= 1 for v in scan.per_color_max.values())

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import sys
@@ -377,7 +378,20 @@ def test_partitions_with_many_axes_end_on_budget(capsys):
     assert main(["count", "--kind", "partitions", "--d", "20000", "--n", "3",
                  "--budget", "10"]) == 3
     assert time.perf_counter() - t0 < 5.0
-    assert capsys.readouterr().err.startswith("budget exhausted: partition count in shape (3, 3,")
+    assert capsys.readouterr().err.startswith("budget exhausted: partition count in shape [3]^19999")
+
+
+@pytest.mark.parametrize("argv,shape", [
+    ("count --kind partitions --d 20000 --n 3", "[3]^19999 bound 3"),
+    ("count --kind dedekind --d 5000", "[2]^4999 bound 2"),
+])
+def test_budget_miss_names_a_long_shape_compactly(capsys, argv, shape):
+    # the message once listed every side: 60,083 bytes for the first argv
+    assert main(argv.split() + ["--budget", "10"]) == 3
+    err = capsys.readouterr().err
+    assert err == (f"budget exhausted: partition count in shape {shape}: "
+                   "exceeded work budget of 10 units\n")
+    assert len(err.encode()) < 200
 
 
 def test_construct_one_long_bound_ends_on_budget(capsys, tmp_path):
@@ -435,3 +449,72 @@ def test_values_past_the_str_digit_limit_print_in_full(capsys):
     assert main(["formula", "--kind", "p1", "--n", "10000", "--budget", "97968"]) == 3
     assert capsys.readouterr().err == (
         "budget exhausted: decimal output: exceeded work budget of 97968 units\n")
+
+
+# sha256 of the file ``construct`` writes for each family, kept from the
+# builds that each family had of its own before all three extremal ones
+# became one iterated-delta build: a coloring file must not change with
+# the code that makes it.  Square and ``--bounds`` boxes, and two-digit
+# colors in the q = 10 and q = 12 files.
+CONSTRUCT_DIGESTS = [
+    ("graph --q 2 --n 3",
+     "ea3abe2f8843530c45ce44736619c1c5b19ab36742bc1218a68e78e58d2b6ad4"),
+    ("graph --q 3 --n 4",
+     "96ca63c1d8eb99bf45b49dc5c873734fc7e706bbed6a78266dc72b7d4c4351f9"),
+    ("graph --q 1 --n 5",
+     "c66076993d77831e2d2f290fed85b39768a8a78b58c752491d36b1ca7f1ffce8"),
+    ("graph --q 4 --n 2",
+     "9091ba820c0db952812de4a354d860b0f006ed0e87a4611b71b6b5698494944c"),
+    ("graph --q 2 --n 10",
+     "96281a07713d46b0d3fc8b11f32025cc5b4c844b4a3b46e94f0a10d74e1cc66b"),
+    ("graph --q 10 --n 2",
+     "5b9ac51a4e1a50e89fec6b194d7dde1d08b7a4e0efbf0994d85e1811c1542243"),
+    ("3uniform --q 2 --n 3",
+     "e00356348886081224d4575d80e67338e3b628a97be892ecd65fb2ac73204526"),
+    ("3uniform --q 2 --n 4",
+     "74cdf8cbeefad14e128a9293f4159dd8a144b00f750c0547ed42969c96fe2b1e"),
+    ("3uniform --q 3 --n 2",
+     "c10be95a0feec24e83df73eab50b1e84094fd3e1051021255b88a5577613d3f2"),
+    ("3uniform --q 4 --n 2",
+     "b7ca47409cb32213d90e0feb368721f029bd8c29c39dc0473912909888a46622"),
+    ("3uniform --q 2 --n 5",
+     "fbd080617f275f735f3a6278cd7a2f8ee660c7617c7a633d1ce3a3bb87982cb4"),
+    ("3uniform --q 2 --bounds 3,5",
+     "3be1f3b788f97e5a14b99d4e67edc2740a8d42010b16d5f726b587f693f58da8"),
+    ("3uniform --q 3 --bounds 2,3,2",
+     "5d09ddf0884fa78214c2bdf41ed42468fd94702bb0b0100cd5040248434c3923"),
+    ("3uniform --q 2 --bounds 120,1",
+     "64bf872d26f8a20044a67d77e7e2eb067c232f12e080733e11c2c5fad62ab5f1"),
+    ("3uniform --q 4 --bounds 1,1,1,2",
+     "cbaec6bf9d07b8ede7e22b7d79112d6fece3cec615680c024791e0faa38d1e44"),
+    ("3uniform --q 2 --bounds 5,3",
+     "1290257b9709d7409e4459c8da0f983c216520c1793091d554b53ca186e591f4"),
+    ("3uniform --q 4 --bounds 2,3,2,1",
+     "d003d7c12ccd05af72fb233af8a660355af9ba18eddfa9497b746f1b9605bebe"),
+    ("3uniform --q 10 --bounds 1,1,1,1,1,1,1,1,2,2",
+     "cd542818bdaf37135cb2f462c3d69cf49e555226bb14a74d69e582890c4bbd4a"),
+    ("kuniform --k 4 --n 2",
+     "37b3ad096fbe39d43854f7afd486ae26ac1e55717800d561a444eaf46e5d9bbb"),
+    ("kuniform --k 4 --n 3",
+     "9ee8ee3cef185a37c31ac2f8f81919262db10392285cd86162206fb1c208f266"),
+    ("kuniform --k 5 --n 2",
+     "ee9a42e4e0a854862abd55b01c3313bfc621beff6a1b814fbc42153b94613324"),
+    ("kuniform --k 3 --n 4",
+     "a61a6a31d3e5f75fcc3062a248494ac410f03194cc154414afdc05629075544d"),
+    ("kuniform --k 4 --n 2 --d 3",
+     "87335d83056cc61718cc7608bcc63e6143fc622e2f51c716a697514672aad1a0"),
+    ("kuniform --k 3 --n 2 --d 3",
+     "80778b131c3e6e6287eb460773a8db4f68c64705ee6c3bc432c99b8890b3d739"),
+    ("random --k 3 --q 2 --N 9 --seed 5",
+     "c45f350d4d78b7b2b06ecb5f1183f765b06dde1c9f4d628270b4df0fe0320d7f"),
+    ("random --k 2 --q 12 --N 20 --seed 3",
+     "7c5c8311410d51b4a03b421f931368d13387a64da3fec9b13cb5bbde17b5cfb1"),
+]
+
+
+@pytest.mark.parametrize("flags,digest", CONSTRUCT_DIGESTS, ids=[f for f, _ in CONSTRUCT_DIGESTS])
+def test_construct_files_keep_their_bytes(flags, digest, tmp_path, capsys):
+    path = tmp_path / "c.json"
+    assert main(["construct", "--family", *flags.split(), "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest

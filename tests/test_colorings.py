@@ -6,11 +6,10 @@ from itertools import combinations
 from math import comb, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
-    brute_monotone_arrays,
     delta_chain_colors,
     first_difference_colors,
     tuple_transitivity,
@@ -18,11 +17,10 @@ from helpers import (
     window_keys,
     window_map_colors,
 )
-from monopath.budget import BudgetExceeded, WorkMeter, meter
+from monopath.budget import BudgetExceeded, WorkMeter
 from monopath.colorings import (
     EdgeColoring,
     _color_windows,
-    _monotone_arrays,
     _split_saved,
     check_transitivity_witness,
     color_3uniform_lower,
@@ -31,7 +29,7 @@ from monopath.colorings import (
     is_transitive,
     random_coloring,
 )
-from monopath.counting import p1_closed, macmahon, count_rho
+from monopath.counting import count_box_partitions, count_rho, macmahon, p1_closed
 from monopath.subsets import colex_rank, subsets_colex
 from monopath.universes import build_universe
 
@@ -280,6 +278,25 @@ def test_3uniform_matches_edge_by_edge_reference(q, bounds):
     assert col.colors.tobytes() == first_difference_colors(q, bounds).tobytes()
 
 
+@st.composite
+def _small_boxes(draw):
+    q = draw(st.integers(min_value=2, max_value=4))
+    side = st.integers(min_value=1, max_value=6 - q)
+    return q, tuple(draw(st.lists(side, min_size=q, max_size=q)))
+
+
+@given(_small_boxes())
+@settings(max_examples=40, deadline=None)
+def test_3uniform_matches_edge_by_edge_reference_on_random_boxes(case):
+    q, bounds = case
+    shape, top = bounds[:-1], bounds[-1]
+    # at most about 60 vertices, and few enough value assignments for the
+    # reference, which filters all of them
+    assume(count_box_partitions(shape, top) <= 60 and (top + 1) ** prod(shape) <= 10**5)
+    col = color_3uniform_lower(q, bounds=bounds)
+    assert col.colors.tobytes() == first_difference_colors(q, bounds).tobytes()
+
+
 @pytest.mark.parametrize("top", [255, 256, 300])
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_window_fill_matches_edge_by_edge_reference(k, top):
@@ -304,42 +321,50 @@ def test_window_fill_matches_edge_by_edge_reference(k, top):
     assert len(got) == comb(big, k)
 
 
-def _3uniform_units(q, bounds) -> int:
-    """Cells while generating, edges, ``pd`` cells, and one map per distinct
-    first-difference position of a back window with a vertex before it."""
-    shape = bounds[: q - 1]
-    cells = prod(shape)
-    verts = brute_monotone_arrays(shape, bounds[q - 1])
-    big = len(verts)
+def _iterated_delta_units(k, box) -> int:
+    """The units of one build over ``box``: the order-k universe's own, then
+    edges, the top level's ascending pairs, every ordered pair below it down
+    to the grid, and one map over level k-1 per distinct window key."""
+    uni_wm = WorkMeter(limit=10**9)
+    uni = build_universe(k, box, budget=uni_wm)
+    big = uni.size
+    if big < k:
+        return uni_wm.used
+    total = uni_wm.used + comb(big, k) + comb(big, 2)
+    if k == 2:
+        return total
+    sizes = []
+    level = uni.parent
+    while level is not None:
+        sizes.append(level.size)
+        level = level.parent
+    return total + sum(s * s for s in sizes) + len(window_keys(k, box)) * sizes[0]
 
-    def first_diff(a, b):
-        return next(pos for pos, (x, y) in enumerate(zip(a, b)) if x != y)
 
-    keys = {first_diff(verts[b], verts[c]) for b, c in combinations(range(1, big), 2)}
-    return cells * (1 + big) + comb(big, 3) + comb(big, 2) + len(keys) * cells
+def _pays_on_one_meter(build, total, label):
+    """``build(budget)`` spends exactly ``total`` units, on one meter that
+    names the family."""
+    wm = WorkMeter(limit=total)
+    build(wm)
+    assert wm.used == total
+    build(total)
+    build(total + 1)
+    with pytest.raises(BudgetExceeded) as exc:
+        build(total - 1)
+    assert str(exc.value) == f"{label}: exceeded work budget of {total - 1} units"
+
+
+@pytest.mark.parametrize("q,n", [(2, 3), (3, 2), (1, 4)])
+def test_graph_units_per_cell(q, n):
+    _pays_on_one_meter(lambda budget: color_graph_lower(q, n, budget=budget),
+                       _iterated_delta_units(2, (n,) * q), f"graph coloring over [{n}]^{q}")
 
 
 @pytest.mark.parametrize("q,bounds", [(2, (3, 3)), (3, (3, 1, 2)), (4, (1, 2, 1, 2)), (2, (1, 4))])
 def test_3uniform_units_per_cell(q, bounds):
-    total = _3uniform_units(q, bounds)
-    wm = WorkMeter(limit=total)
-    color_3uniform_lower(q, bounds=bounds, budget=wm)
-    assert wm.used == total
-    color_3uniform_lower(q, bounds=bounds, budget=total + 1)
-    with pytest.raises(BudgetExceeded) as exc:
-        color_3uniform_lower(q, bounds=bounds, budget=total - 1)
-    assert str(exc.value) == (
-        f"3-uniform coloring with bounds {bounds}: exceeded work budget of {total - 1} units")
-
-
-def test_monotone_arrays_pay_per_cell():
-    # 1201 arrays of 1200 cells each; at one unit per array all of them fit
-    with pytest.raises(BudgetExceeded):
-        _monotone_arrays((1200,), 1, meter(5000, "arrays"))
-    wm = WorkMeter(limit=10**6)
-    arrays = _monotone_arrays((3, 2), 2, wm)
-    assert arrays == brute_monotone_arrays((3, 2), 2)
-    assert wm.used == 6 * (1 + len(arrays))
+    _pays_on_one_meter(lambda budget: color_3uniform_lower(q, bounds=bounds, budget=budget),
+                       _iterated_delta_units(3, bounds),
+                       f"3-uniform coloring with bounds {bounds}")
 
 
 def test_3uniform_budget():
@@ -372,10 +397,12 @@ def test_kuniform_vertex_counts(k, n):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_kuniform_k3_equals_3uniform(n):
-    a = color_kuniform_lower(3, n)
-    b = color_3uniform_lower(2, n)
-    assert a.N == b.N
-    assert a.colors == b.colors
+    # q = 2..4 colors while C(N, 3) stays small: [3]^3 has 980 down-sets
+    for q in range(2, 5 if n == 2 else 3):
+        a = color_kuniform_lower(3, n, q)
+        b = color_3uniform_lower(q, n)
+        assert a.N == b.N
+        assert a.colors == b.colors
 
 
 # (k, n, d) with at most a few thousand edges
@@ -391,35 +418,10 @@ def test_kuniform_matches_delta_chain_reference(k, n, d):
     assert col.colors.tobytes() == delta_chain_colors(k, n, d).tobytes()
 
 
-def _kuniform_units(k, n, d) -> int:
-    """Edges, the top level's ascending pairs, every ordered pair below it
-    down to the grid, and one map over level k-1 per distinct window key."""
-    uni = build_universe(k, d, n)
-    sizes = []
-    level = uni.parent
-    while level is not None:
-        sizes.append(level.size)
-        level = level.parent
-    big = uni.size
-    return (comb(big, k) + comb(big, 2) + sum(s * s for s in sizes)
-            + len(window_keys(k, n, d)) * sizes[0])
-
-
 @pytest.mark.parametrize("k,n,d", [(3, 3, 2), (4, 2, 2), (5, 2, 2), (6, 2, 2), (3, 2, 3)])
 def test_kuniform_units_per_cell(k, n, d):
-    uni_wm = WorkMeter(limit=10**9)
-    build_universe(k, d, n, budget=uni_wm)
-    total = _kuniform_units(k, n, d)
-    assert uni_wm.used < total
-    wm = WorkMeter(limit=uni_wm.used + total)
-    color_kuniform_lower(k, n, d, budget=wm)
-    assert wm.used == uni_wm.used + total
-    color_kuniform_lower(k, n, d, budget=total)
-    color_kuniform_lower(k, n, d, budget=total + 1)
-    with pytest.raises(BudgetExceeded) as exc:
-        color_kuniform_lower(k, n, d, budget=total - 1)
-    assert str(exc.value) == (
-        f"{k}-uniform coloring over [{n}]^{d}: exceeded work budget of {total - 1} units")
+    _pays_on_one_meter(lambda budget: color_kuniform_lower(k, n, d, budget=budget),
+                       _iterated_delta_units(k, (n,) * d), f"{k}-uniform coloring over [{n}]^{d}")
 
 
 def test_kuniform_d_colors():

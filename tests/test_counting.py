@@ -1,3 +1,4 @@
+import tracemalloc
 from math import comb
 
 import pytest
@@ -226,6 +227,21 @@ def test_packed_dp_huge_window_misses_cheaply():
     assert got[0] == "miss"
 
 
+def test_packed_dp_pays_a_crossing_state_before_storing_it():
+    # one cell of 300001 values: the state that crosses the budget stored
+    # all its transitions, 44.7 MB under tracemalloc, before it billed them
+    shape, bound = (300000,), 300000
+    tracemalloc.start()
+    try:
+        got = _metered(lambda wm: count_box_partitions(shape, bound, budget=wm), 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+    assert got == _metered(lambda wm: tuple_box_partitions(shape, bound, wm), 1000)
+    assert got[0] == "miss"
+
+
 # --- order ideals of arbitrary posets ---------------------------------------
 
 
@@ -282,7 +298,7 @@ def test_rho_against_brute_ideals():
     from monopath.universes import build_universe
 
     for k, d, n in [(4, 2, 2), (5, 2, 2), (4, 1, 3), (4, 3, 2)]:
-        parent = build_universe(k - 1, d, n)
+        parent = build_universe(k - 1, (n,) * d)
         assert count_rho(k, d, n) == len(brute_ideal_masks(parent.pred_masks()))
 
 

@@ -11,7 +11,7 @@ from itertools import product
 
 import pytest
 
-from monopath.counting import GridBox, count_downsets
+from monopath.counting import GridBox, box_text, count_downsets
 from helpers import (
     brute_box_partitions,
     brute_ideal_masks,
@@ -35,6 +35,14 @@ def test_dominates():
     assert not dominates((2, 1), (1, 3))
     with pytest.raises(ValueError):
         dominates((1,), (1, 2))
+
+
+@pytest.mark.parametrize("box,text", [
+    ((3,) * 5, "[3]^5"), ((7,), "[7]^1"), ((2, 3), "[2]x[3]"),
+    ((2, 4, 4, 3), "[2]x[4]x[4]x[3]"), ((3,) * 19999, "[3]^19999"),
+])
+def test_box_text(box, text):
+    assert box_text(box) == text
 
 
 def test_box_validation():

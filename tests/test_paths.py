@@ -387,7 +387,7 @@ def test_downset_labels_are_ideals():
     col = color_kuniform_lower(4, 2)
     forward = longest_mono(col, want_witnesses=False).forward
     for level in (1, 2):
-        pred = build_universe(col.k - level, 2, 2).pred_masks()
+        pred = build_universe(col.k - level, (2, 2)).pred_masks()
         labs = _labels(col, 2, level, None, forward)
         assert labs
         for mask in labs.values():

@@ -1,26 +1,49 @@
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monopath.budget import BudgetExceeded
-from monopath.counting import GridBox, count_downsets, count_rho
+from monopath.counting import GridBox, count_box_partitions, count_downsets, count_rho
 from monopath.universes import build_universe
 from helpers import brute_ideal_masks
 
 
 def test_build_validation():
     with pytest.raises(ValueError):
-        build_universe(1, 2, 2)
+        build_universe(1, (2, 2))
     with pytest.raises(ValueError):
-        build_universe(3, 0, 2)
+        build_universe(3, ())
+    with pytest.raises(ValueError):
+        build_universe(3, (2, 0))
     with pytest.raises(BudgetExceeded):
-        build_universe(4, 3, 3, budget=2000)
+        build_universe(4, (3, 3, 3), budget=2000)
+
+
+@pytest.mark.parametrize("box", [(2, 3), (3, 2), (3, 1, 2), (1, 4), (5,)])
+def test_box_universe_is_the_downsets_of_the_box(box):
+    # a down-set of the box is the array of its column heights in the last
+    # coordinate, and the masks sort as those arrays do, flattened
+    u = build_universe(3, box)
+    assert u.parent.elements == tuple(product(*(range(1, s + 1) for s in box)))
+    assert u.size == count_box_partitions(box[:-1], box[-1])
+    top = box[-1]
+    heights = [[bin(m >> c & (1 << top) - 1).count("1") for c in range(0, u.parent.size, top)]
+               for m in u.elements]
+    assert heights == sorted(heights)
+    assert len(set(map(tuple, heights))) == u.size
+
+
+@pytest.mark.parametrize("k,box,text", [(3, (2, 3, 3), "[2]x[3]x[3]"), (4, (3, 3, 3), "[3]^3")])
+def test_universe_meter_names_its_box(k, box, text):
+    with pytest.raises(BudgetExceeded) as exc:
+        build_universe(k, box, budget=10)
+    assert str(exc.value) == f"universe of order {k} over {text}: exceeded work budget of 10 units"
 
 
 def test_grid_universe():
-    u = build_universe(2, 2, 3)
+    u = build_universe(2, (3, 3))
     assert u.k == 2 and u.size == 9
     assert u.elements == tuple(sorted(u.elements))
     assert u.subset_le((1, 2), (2, 2))
@@ -33,19 +56,19 @@ def test_grid_universe():
     "k,d,n", [(3, 2, 2), (4, 2, 2), (5, 2, 2), (3, 2, 3), (4, 1, 3), (4, 3, 2)]
 )
 def test_sizes_match_counts(k, d, n):
-    u = build_universe(k, d, n)
+    u = build_universe(k, (n,) * d)
     assert u.size == count_rho(k, d, n)
     assert u.parent.size == count_rho(k - 1, d, n)
 
 
 def test_elements_are_exactly_parent_ideals():
-    u = build_universe(4, 2, 2)
+    u = build_universe(4, (2, 2))
     assert sorted(u.elements) == brute_ideal_masks(u.parent.pred_masks())
 
 
 @pytest.mark.parametrize("k,d,n", [(3, 2, 2), (4, 2, 2), (3, 3, 2), (4, 2, 3)])
 def test_order_extends_containment(k, d, n):
-    u = build_universe(k, d, n)
+    u = build_universe(k, (n,) * d)
     els = u.elements
     for i, a in enumerate(els):
         for b in els[i + 1 :]:
@@ -54,7 +77,7 @@ def test_order_extends_containment(k, d, n):
 
 
 def test_delta_is_lex_min_of_difference():
-    u = build_universe(3, 2, 3)
+    u = build_universe(3, (3, 3))
     par = u.parent
     for a, b in combinations(u.elements, 2):
         if u.subset_le(b, a):
@@ -69,7 +92,7 @@ def test_delta_is_lex_min_of_difference():
 def test_delta_star_lands_on_grid(k, d, n):
     # reducing an ascending chain by delta, pair by pair, keeps successive
     # members non-containing and ends on a grid point
-    u = build_universe(k, d, n)
+    u = build_universe(k, (n,) * d)
     for chain in combinations(u.elements, k - 1):
         level = u
         while len(chain) > 1:
@@ -81,7 +104,7 @@ def test_delta_star_lands_on_grid(k, d, n):
 
 
 def test_pred_masks_match_brute_containment():
-    u = build_universe(4, 2, 2)
+    u = build_universe(4, (2, 2))
     els = u.elements
     masks = u.pred_masks()
     for i, b in enumerate(els):
@@ -96,16 +119,16 @@ def test_pred_masks_match_brute_containment():
 
 def test_rho_growth_along_n_and_k():
     # ideals only gain members as the grid or the order grows
-    sizes_n = [build_universe(4, 2, n).size for n in (1, 2, 3)]
+    sizes_n = [build_universe(4, (n, n)).size for n in (1, 2, 3)]
     assert sizes_n == sorted(sizes_n)
-    sizes_k = [build_universe(k, 2, 2).size for k in (2, 3, 4, 5)]
+    sizes_k = [build_universe(k, (2, 2)).size for k in (2, 3, 4, 5)]
     assert sizes_k == sorted(sizes_k)
 
 
 def test_element_json_and_to_json():
-    u2 = build_universe(2, 2, 2)
+    u2 = build_universe(2, (2, 2))
     assert u2.element_json((1, 2)) == [1, 2]
-    u3 = build_universe(3, 2, 2)
+    u3 = build_universe(3, (2, 2))
     for el in u3.elements:
         enc = u3.element_json(el)
         assert enc == sorted(enc)
@@ -116,12 +139,12 @@ def test_element_json_and_to_json():
 @settings(deadline=None)
 def test_downset_count_consistency(k):
     # the universe route and the counting route agree at every order
-    u = build_universe(k, 2, 2)
+    u = build_universe(k, (2, 2))
     assert u.size == count_rho(k, 2, 2)
     if k >= 3:
-        assert build_universe(k - 1, 2, 2).size == u.parent.size
+        assert build_universe(k - 1, (2, 2)).size == u.parent.size
 
 
 def test_order3_universe_is_downsets_of_grid():
-    u = build_universe(3, 2, 3)
+    u = build_universe(3, (3, 3))
     assert u.size == count_downsets(GridBox(3, 2))
