@@ -52,8 +52,9 @@ from math import comb, prod
 from operator import ne, xor
 
 from .budget import meter
+from .counting import box_size
 from .subsets import colex_rank, subsets_colex
-from .universes import build_universe
+from .universes import Universe, build_universe
 
 ENCODING = "colex-rank-array"
 
@@ -294,8 +295,8 @@ def color_graph_lower(q: int, n: int, *, budget: int | None = None) -> EdgeColor
         raise ValueError("need q >= 1 and n >= 1")
     _fit_colors(q)
     wm = meter(budget, f"graph coloring over [{n}]^{q}")
-    uni = build_universe(2, (n,) * q, budget=wm)
-    return EdgeColoring(k=2, q=q, N=uni.size, colors=_iterated_delta(uni, wm),
+    uni, colors = _iterated_delta(2, (n,) * q, wm)
+    return EdgeColoring(k=2, q=q, N=uni.size, colors=colors,
                         labels=[list(v) for v in uni.elements],
                         meta={"family": "graph", "params": {"q": q, "n": n}})
 
@@ -382,8 +383,7 @@ def color_3uniform_lower(
     if len(bounds) != q or any(b < 1 for b in bounds):
         raise ValueError(f"bounds must be {q} positive integers, got {bounds}")
     wm = meter(budget, f"3-uniform coloring with bounds {bounds}")
-    uni = build_universe(3, bounds, budget=wm)
-    colors = _iterated_delta(uni, wm)
+    uni, colors = _iterated_delta(3, bounds, wm)
     labels = [_heights(tuple(bounds), m) for m in uni.elements]
     params = {"q": q, "bounds": list(bounds)}
     if bounds == (bounds[0],) * q:
@@ -431,15 +431,15 @@ def color_kuniform_lower(
         raise ValueError("need k >= 3")
     _fit_colors(d)
     wm = meter(budget, f"{k}-uniform coloring over [{n}]^{d}")
-    uni = build_universe(k, (n,) * d, budget=wm)
-    return EdgeColoring(k=k, q=d, N=uni.size, colors=_iterated_delta(uni, wm),
+    uni, colors = _iterated_delta(k, (n,) * d, wm)
+    return EdgeColoring(k=k, q=d, N=uni.size, colors=colors,
                         labels=[uni.element_json(el) for el in uni.elements],
                         meta={"family": "kuniform", "params": {"k": k, "d": d, "n": n}})
 
 
-def _iterated_delta(uni, wm) -> array:
-    """The iterated-delta colors of the complete k-uniform hypergraph on the
-    elements of the order-k universe ``uni``, k = ``uni.k`` >= 2.
+def _iterated_delta(k: int, box: tuple[int, ...], wm) -> tuple[Universe, array]:
+    """The order-k universe over ``box``, k >= 2, and the iterated-delta
+    colors of the complete k-uniform hypergraph on its elements.
 
     The build tabulates delta, as an index one level down, for the pairs the
     reduced chains meet: the top level's ascending pairs, every ordered pair
@@ -455,18 +455,19 @@ def _iterated_delta(uni, wm) -> array:
     same right-hand elements share their map.  At k = 3 that key is one
     lookup, and at k = 2 there is one map, position p to color p + 1.
 
-    Units: one per edge, one per table cell, and one per level-(k-1)
-    element for each map, each paid before it is built.
+    Units: those of ``build_universe``, then one per edge, one per table
+    cell and one per level-(k-1) element for each map, each paid first; at
+    k = 2 the edges and table are paid before the grid's points exist.
     """
-    k, els = uni.k, uni.elements
+    if k == 2:
+        wm.charge(2 * comb(box_size(box), 2))
+    uni = build_universe(k, box, budget=wm)
+    els = uni.elements
     big = len(els)
-    if big < k:
-        return array("B")
-    wm.charge(comb(big, k) + comb(big, 2))
     if k == 2:
         ups = _first_differences([list(map(ne, u, v)).index(True) for u, v in zip(els, els[1:])])
-        shift = range(1, len(els[0]) + 1)
-        return _color_windows(big, 2, ups, lambda b: 0, lambda key: shift)
+        return uni, _color_windows(big, 2, ups, lambda b: 0, lambda key: range(1, len(box) + 1))
+    wm.charge(comb(big, k) + comb(big, 2))
     ups = _first_differences([(x & -x).bit_length() - 1 for x in map(xor, els, els[1:])])
     lower = []  # levels k-1 down to 3
     level = uni.parent
@@ -484,12 +485,8 @@ def _iterated_delta(uni, wm) -> array:
 
     if k == 3:  # one pair in the chain: its right-hand point is the key
 
-        def key_of(b: tuple[int, ...]) -> int:
-            return ups[b[1]][b[0]]
-
-        def window_map(y: int) -> list[int]:
-            wm.charge(width)
-            return rises[y]
+        def key_of(b: tuple[int, ...]) -> tuple[int, ...]:
+            return (ups[b[1]][b[0]],)
 
     else:
 
@@ -501,14 +498,14 @@ def _iterated_delta(uni, wm) -> array:
                 key.append(chain[0])
             return tuple(key)
 
-        def window_map(key: tuple[int, ...]) -> list[int]:
-            wm.charge(width)
-            f = range(width + 1)
-            for cols, r in zip(lower, key):
-                f = map(cols[r].__getitem__, f)
-            return list(map(rises[key[-1]].__getitem__, f))
+    def window_map(key: tuple[int, ...]) -> list[int]:
+        wm.charge(width)
+        f = range(width + 1)
+        for cols, r in zip(lower, key):
+            f = map(cols[r].__getitem__, f)
+        return list(map(rises[key[-1]].__getitem__, f))
 
-    return _color_windows(big, k, ups, key_of, window_map)
+    return uni, _color_windows(big, k, ups, key_of, window_map)
 
 
 def random_coloring(

@@ -29,10 +29,11 @@ recursive down-set universes defined in :mod:`monopath.universes`.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, islice, product
-from math import comb
+from math import comb, prod
 from operator import mul
 
 from .budget import WorkMeter, memoized, meter
@@ -64,6 +65,11 @@ def box_text(box: tuple[int, ...]) -> str:
     if len(set(box)) == 1:
         return f"[{box[0]}]^{len(box)}"
     return "x".join(f"[{side}]" for side in box)
+
+
+def box_size(box: tuple[int, ...]) -> int:
+    """The box's point count, one power per distinct side: no long product."""
+    return prod(side**count for side, count in Counter(box).items())
 
 
 # --- closed forms -------------------------------------------------------------

@@ -25,10 +25,10 @@ containment.
 from __future__ import annotations
 
 from itertools import product
-from math import comb, prod
+from math import comb
 
 from .budget import WorkMeter, meter
-from .counting import box_text, enumerate_order_ideals
+from .counting import box_size, box_text, enumerate_order_ideals
 
 
 class Universe:
@@ -128,7 +128,7 @@ def build_universe(
     if not box or min(box) < 1:
         raise ValueError("need d >= 1 and n >= 1")
     wm = meter(budget, f"universe of order {k} over {box_text(box)}")
-    points = prod(box)
+    points = box_size(box)
     wm.charge(points)
     grid_payer = wm if k > 2 else scan
     if grid_payer is not None:

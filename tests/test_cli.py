@@ -371,6 +371,18 @@ def test_rho_order_2_pays_before_its_power(capsys):
     assert code == 0 and doc["value"] == "125"
 
 
+def test_rho_long_box_pays_before_its_points(capsys):
+    # the point count of [3]^(10^6) as a product of 10^6 factors took tens
+    # of seconds before the first unit was charged
+    t0 = time.perf_counter()
+    assert main(["count", "--kind", "rho", "--k", "4", "--d", "1000000", "--n", "3",
+                 "--budget", "10"]) == 3
+    assert time.perf_counter() - t0 < 2.0
+    assert capsys.readouterr().err == (
+        "budget exhausted: size of order-4 universe (d=1000000, n=3): "
+        "exceeded work budget of 10 units\n")
+
+
 def test_partitions_with_many_axes_end_on_budget(capsys):
     # 20000 axes of 3: a product per axis for the strides took O(d^2) big-int
     # work before the first unit was charged

@@ -1,6 +1,7 @@
 import io
 import json
 import random
+import tracemalloc
 from array import array
 from itertools import combinations
 from math import comb, prod
@@ -328,8 +329,6 @@ def _iterated_delta_units(k, box) -> int:
     uni_wm = WorkMeter(limit=10**9)
     uni = build_universe(k, box, budget=uni_wm)
     big = uni.size
-    if big < k:
-        return uni_wm.used
     total = uni_wm.used + comb(big, k) + comb(big, 2)
     if k == 2:
         return total
@@ -354,10 +353,23 @@ def _pays_on_one_meter(build, total, label):
     assert str(exc.value) == f"{label}: exceeded work budget of {total - 1} units"
 
 
-@pytest.mark.parametrize("q,n", [(2, 3), (3, 2), (1, 4)])
+@pytest.mark.parametrize("q,n", [(2, 3), (3, 2), (1, 4), (2, 1)])
 def test_graph_units_per_cell(q, n):
     _pays_on_one_meter(lambda budget: color_graph_lower(q, n, budget=budget),
                        _iterated_delta_units(2, (n,) * q), f"graph coloring over [{n}]^{q}")
+
+
+def test_graph_pays_its_edges_before_its_points():
+    # 2^20 points pass a budget of 2*10^6, their edges do not; paid only
+    # after the points existed, the build held about 200 MB of 20-tuples
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded, match="graph coloring over"):
+            color_graph_lower(20, 2, budget=2 * 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 @pytest.mark.parametrize("q,bounds", [(2, (3, 3)), (3, (3, 1, 2)), (4, (1, 2, 1, 2)), (2, (1, 4))])
@@ -418,7 +430,7 @@ def test_kuniform_matches_delta_chain_reference(k, n, d):
     assert col.colors.tobytes() == delta_chain_colors(k, n, d).tobytes()
 
 
-@pytest.mark.parametrize("k,n,d", [(3, 3, 2), (4, 2, 2), (5, 2, 2), (6, 2, 2), (3, 2, 3)])
+@pytest.mark.parametrize("k,n,d", [(3, 3, 2), (4, 2, 2), (5, 2, 2), (6, 2, 2), (3, 2, 3), (4, 1, 2)])
 def test_kuniform_units_per_cell(k, n, d):
     _pays_on_one_meter(lambda budget: color_kuniform_lower(k, n, d, budget=budget),
                        _iterated_delta_units(k, (n,) * d), f"{k}-uniform coloring over [{n}]^{d}")
