@@ -29,13 +29,16 @@ comma-separated digits of the compact JSON text (see ``EdgeColoring.save``
 and ``EdgeColoring.load``).
 
 No build follows an edge on its own.  ``_iterated_delta`` tabulates delta
-at every universe level, and the first rising coordinate of grid points.
-The edges (a,) + b with the same back window b are consecutive in colex
-order, and b alone fixes a map from one table entry of the pair (a, b[0])
-to the edge's color, so a window's colors are one lookup each.  Windows
-that fix the same map share it.  The universe and the colors are paid on
-one meter: units pay for the edges, every table cell, and each distinct
-map, all before they are built, so no table grows faster than the budget.
+at every universe level, and the first rising coordinate of grid points,
+then reduces the chains of all edges together, one level table per vertex
+count: what the chains of the j-subsets reduce to, in colex order.  In
+that order the (j+1)-subsets with one back b take their fronts from one
+block of the j-subset table, the block list of :mod:`monopath.subsets`,
+so a block of the next table is one ``bytes.translate`` of a block of
+this one.  The last level table is the colors.  The universe and the
+colors are paid on one meter: units pay for the edges, every level table
+entry and every delta table cell, all before they are built, so no table
+grows faster than the budget.
 """
 
 from __future__ import annotations
@@ -47,13 +50,13 @@ import re
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate, combinations
+from itertools import accumulate, chain, combinations
 from math import comb, prod
 from operator import ne, xor
 
 from .budget import meter
-from .counting import box_size
-from .subsets import colex_rank, subsets_colex
+from .counting import box_size, box_text
+from .subsets import colex_rank, subsets_colex, window_runs
 from .universes import Universe, build_universe
 
 ENCODING = "colex-rank-array"
@@ -317,44 +320,6 @@ def _first_differences(steps: list[int]) -> list[list[int]]:
     return pd
 
 
-def _color_windows(big: int, k: int, lefts: list, key_of, build_map) -> array:
-    """Colors of all k-subsets of range(big) in colex order, one back window
-    b = (v1, ..., v_{k-1}) at a time.
-
-    ``lefts[v1]`` lists one pairwise-table entry x per first vertex a < v1,
-    and the edge (a,) + b gets ``f[x]``, where ``f`` is the window's map:
-    ``build_map(key_of(b))``, built and paid for once per distinct key.
-
-    When every entry of ``lefts`` is below 256, each row is kept as bytes and
-    each map as a 256-byte table (only its first 256 entries can be read),
-    so a window's colors are one ``bytes.translate`` of its row.  Otherwise
-    they are one ``f.__getitem__`` per edge.
-    """
-    try:
-        rows = [bytes(row) for row in lefts]
-    except ValueError:  # an entry outside 0..255
-        rows = None
-    colors = array("B")
-    maps: dict = {}
-    for b in subsets_colex(big, k - 1):
-        if not b[0]:
-            continue  # no vertex comes before the window
-        key = key_of(b)
-        f = maps.get(key)
-        if f is None:
-            f = build_map(key)
-            if rows is not None:
-                f = bytes(f[:256]).ljust(256, b"\0")
-            maps[key] = f
-        if rows is None:
-            colors.extend(map(f.__getitem__, lefts[b[0]]))
-        else:
-            colors.frombytes(rows[b[0]].translate(f))
-    if b"\0" in colors.tobytes():
-        raise AssertionError("delta chain lost non-containment; no rising coordinate")
-    return colors
-
-
 def color_3uniform_lower(
     q: int,
     n: int | None = None,
@@ -382,7 +347,7 @@ def color_3uniform_lower(
         raise ValueError("give n or bounds, not both")
     if len(bounds) != q or any(b < 1 for b in bounds):
         raise ValueError(f"bounds must be {q} positive integers, got {bounds}")
-    wm = meter(budget, f"3-uniform coloring with bounds {bounds}")
+    wm = meter(budget, f"3-uniform coloring over {box_text(bounds)}")
     uni, colors = _iterated_delta(3, bounds, wm)
     labels = [_heights(tuple(bounds), m) for m in uni.elements]
     params = {"q": q, "bounds": list(bounds)}
@@ -406,17 +371,19 @@ def _heights(box: tuple[int, ...], mask: int):
 
 def _delta_columns(uni, wm) -> list[list[int]]:
     """cols[j][i] = index in the parent level of delta(els[i], els[j]), for
-    every ordered pair, with -1 where delta is undefined.
+    every ordered pair, with the parent's size where delta is undefined.
 
-    Each column ends with -1 and one last column is all -1, so an undefined
-    index stays undefined through every later lookup.  One unit per pair,
-    paid first.
+    Each column ends with an undefined entry and one last column is all
+    undefined, so an undefined index stays undefined through every later
+    lookup.  One unit per pair, paid first.
     """
     els = uni.elements
     wm.charge(len(els) ** 2)
-    # the lowest set bit of b & ~a, and -1 where there is none
-    cols = [[((diff := b & ~a) & -diff).bit_length() - 1 for a in els] + [-1] for b in els]
-    return cols + [[-1] * (len(els) + 1)]
+    none = uni.parent.size
+    # the lowest set bit of b & ~a, where there is one
+    cols = [[(diff & -diff).bit_length() - 1 if (diff := b & ~a) else none for a in els] + [none]
+            for b in els]
+    return cols + [[none] * (len(els) + 1)]
 
 
 def color_kuniform_lower(
@@ -441,22 +408,26 @@ def _iterated_delta(k: int, box: tuple[int, ...], wm) -> tuple[Universe, array]:
     """The order-k universe over ``box``, k >= 2, and the iterated-delta
     colors of the complete k-uniform hypergraph on its elements.
 
-    The build tabulates delta, as an index one level down, for the pairs the
-    reduced chains meet: the top level's ascending pairs, every ordered pair
-    of levels k-1 down to 3 (a reduced chain need not ascend), and the
-    first rising coordinate of every ordered pair of grid points.  In
-    universe order, delta of an ascending pair is where the two first
-    differ: the first differing coordinate of points, the lowest set bit of
-    ``u ^ v`` for masks.  So the top table is ``_first_differences``.
+    The build tabulates delta, as an index one level down, at every level:
+    the top level's ascending pairs, every ordered pair of levels k-1 down
+    to 3 (a reduced chain need not ascend), and the first rising coordinate
+    of every ordered pair of grid points.  In universe order, delta of an
+    ascending pair is where the two first differ: the first differing
+    coordinate of points, the lowest set bit of ``u ^ v`` for masks.  So
+    the top table is ``_first_differences``.
 
-    Reducing a back window b = (v1, ..., v_{k-1}) once fixes the right-hand
-    element of the first pair at each lower level, and so a map from
-    x = delta(v0, v1) to the color of the edge (v0,) + b.  Windows with the
-    same right-hand elements share their map.  At k = 3 that key is one
-    lookup, and at k = 2 there is one map, position p to color p + 1.
+    Then it reduces all edges together, one vertex count at a time.  H_j
+    holds, per j-subset in colex order, what j - 1 reductions leave of its
+    chain, a single element: H_2 is the top table read pair by pair.  The
+    chain of a (j+1)-subset (a,) + b reduces to delta of what its front
+    (a,) + b[:-1] and its back b reduce to, so the block of H_{j+1} with
+    back b is the block of fronts in H_j, each looked up in the column of
+    H_j[b] (see ``_level_step``).  The last table looked up in is the rising
+    coordinates, so H_k is the colors.  At k = 2 the first differing
+    coordinate, counted from 1, is the color and H_2 is the colors.
 
-    Units: those of ``build_universe``, then one per edge, one per table
-    cell and one per level-(k-1) element for each map, each paid first; at
+    Units: those of ``build_universe``, then one per edge, one per entry of
+    H_2, ..., H_{k-1} and one per delta table cell, each paid first; at
     k = 2 the edges and table are paid before the grid's points exist.
     """
     if k == 2:
@@ -464,48 +435,52 @@ def _iterated_delta(k: int, box: tuple[int, ...], wm) -> tuple[Universe, array]:
     uni = build_universe(k, box, budget=wm)
     els = uni.elements
     big = len(els)
+    lookups = []  # delta at levels k-1 down to 3, then the rising coordinates
     if k == 2:
-        ups = _first_differences([list(map(ne, u, v)).index(True) for u, v in zip(els, els[1:])])
-        return uni, _color_windows(big, 2, ups, lambda b: 0, lambda key: range(1, len(box) + 1))
-    wm.charge(comb(big, k) + comb(big, 2))
-    ups = _first_differences([(x & -x).bit_length() - 1 for x in map(xor, els, els[1:])])
-    lower = []  # levels k-1 down to 3
-    level = uni.parent
-    while level.k > 2:
-        lower.append(_delta_columns(level, wm))
-        level = level.parent
-    # color 0 where no coordinate rises, and for an undefined index
-    points = level.elements
-    wm.charge(len(points) ** 2)
-    rises = [
-        [next((t for t, (a, b) in enumerate(zip(x, y), 1) if a < b), 0) for x in points] + [0]
-        for y in points
-    ] + [[0] * (len(points) + 1)]
-    width = uni.parent.size
-
-    if k == 3:  # one pair in the chain: its right-hand point is the key
-
-        def key_of(b: tuple[int, ...]) -> tuple[int, ...]:
-            return (ups[b[1]][b[0]],)
-
+        ups = _first_differences([list(map(ne, u, v)).index(True) + 1 for u, v in zip(els, els[1:])])
     else:
+        wm.charge(sum(comb(big, j) for j in range(2, k + 1)))
+        ups = _first_differences([(x & -x).bit_length() - 1 for x in map(xor, els, els[1:])])
+        level = uni.parent
+        while level.k > 2:
+            lookups.append(_delta_columns(level, wm))
+            level = level.parent
+        # color 0 where no coordinate rises, and for an undefined index
+        points = level.elements
+        wm.charge(len(points) ** 2)
+        lookups.append([
+            [next((t for t, (a, b) in enumerate(zip(x, y), 1) if a < b), 0) for x in points] + [0]
+            for y in points
+        ] + [[0] * (len(points) + 1)])
+    table = list(chain.from_iterable(ups))
+    for j, cols in enumerate(lookups, 2):
+        table = _level_step(big, j, table, cols)
+    colors = array("B", table)
+    if b"\0" in colors.tobytes():
+        raise AssertionError("delta chain lost non-containment; no rising coordinate")
+    return uni, colors
 
-        def key_of(b: tuple[int, ...]) -> tuple[int, ...]:
-            chain = [ups[y][x] for x, y in zip(b, b[1:])]
-            key = [chain[0]]
-            for cols in lower:
-                chain = [cols[y][x] for x, y in zip(chain, chain[1:])]
-                key.append(chain[0])
-            return tuple(key)
 
-    def window_map(key: tuple[int, ...]) -> list[int]:
-        wm.charge(width)
-        f = range(width + 1)
-        for cols, r in zip(lower, key):
-            f = map(cols[r].__getitem__, f)
-        return list(map(rises[key[-1]].__getitem__, f))
+def _level_step(big: int, j: int, table, cols: list[list[int]]):
+    """H_{j+1} from H_j, ``table``, over the subsets of range(big).
 
-    return uni, _color_windows(big, k, ups, key_of, window_map)
+    The (j+1)-subsets with back b = t + (v,) are (a,) + b, a < t[0], and
+    their fronts (a,) + t are consecutive in H_j, the block of t in the
+    window index; each front's entry x becomes ``cols[H_j[b]][x]``.  When
+    the entries and the columns fit in bytes, each column is kept as a
+    256-byte table (only its first 256 entries can be read), and a block is
+    one ``bytes.translate``; otherwise one ``__getitem__`` per entry.
+    """
+    blocks = zip(chain.from_iterable(runs for _, runs in window_runs(big, j + 1)), table)
+    try:
+        table, cols = bytes(table), [bytes(col[:256]).ljust(256, b"\0") for col in cols]
+    except ValueError:  # an entry outside 0..255
+        return list(chain.from_iterable(
+            map(cols[x].__getitem__, table[f0 : f0 + m]) for (f0, m), x in blocks))
+    out = bytearray()
+    for (f0, m), x in blocks:
+        out += table[f0 : f0 + m].translate(cols[x])
+    return out
 
 
 def random_coloring(

@@ -321,6 +321,11 @@ def count_rho(k: int, d: int, n: int, *, budget=None) -> int:
         return GridBox(n, d).size
     from .universes import build_universe
 
+    # n^d >= 2^(d * (bits of n - 1)): a grid that plainly outgrows the room
+    # ends here, before its box or its point count is formed
+    room = wm.limit - wm.used
+    if d * (n.bit_length() - 1) >= room.bit_length():
+        wm.prepay(room + 1)
     parent = build_universe(k - 1, (n,) * d, budget=wm, scan=wm)
     return count_order_ideals(
         parent.pred_masks(),

@@ -9,9 +9,10 @@ the longest color-c path ending with window w satisfies
 
 and processing edges in colex order makes every front value final before it
 is read.  A scan sweeps once, keeping one flat list per color, indexed by
-window rank, and walks the colex window index of :mod:`monopath.subsets`:
-per window, the colors of its incoming edges and the values of their front
-windows are two runs of consecutive ranks, so the same loop serves every k.
+window rank, and walks the block list of :mod:`monopath.subsets` once per
+last vertex: per window, the colors of its incoming edges and the values
+of their front windows are two runs of consecutive ranks, found from the
+window's block and its last vertex, so the same loop serves every k.
 The same L_c tables give the witnesses.  Walking back from a window, each
 step takes the first front, by its new vertex, that is one shorter in the
 color; from the least-ranked window holding the color's maximum that walk
@@ -58,7 +59,7 @@ from operator import or_
 
 from .budget import meter
 from .colorings import EdgeColoring
-from .subsets import colex_rank, colex_unrank, colex_walk, colex_windows
+from .subsets import colex_rank, colex_unrank, colex_walk, window_runs
 from .universes import Universe, build_universe
 
 
@@ -129,7 +130,7 @@ def _value_masks(values: bytes, shift: int) -> list[tuple[int, int]]:
     ]
 
 
-def _sweep(coloring: EdgeColoring, windows, wm) -> list:
+def _sweep(coloring: EdgeColoring, wm) -> list:
     """L_c per window rank, one flat list per color.
 
     The edges are taken in colex order, so every front value is final before
@@ -148,7 +149,7 @@ def _sweep(coloring: EdgeColoring, windows, wm) -> list:
     colors = coloring.colors
     wm.charge(len(colors))
     q = coloring.q
-    tabs = [None] + [[0] * len(windows) for _ in range(q)]
+    tabs = [None] + [[0] * comb(coloring.N, coloring.k - 1) for _ in range(q)]
     cut = FORWARD_CUT
     span = coloring.N - coloring.k + 1  # the longest run and the longest path
     if q > 8 or coloring.k < 3 or not cut <= span < 255:
@@ -157,49 +158,58 @@ def _sweep(coloring: EdgeColoring, windows, wm) -> list:
         raw = bytes(colors)
         onehot = bytes([0] + [1 << s for s in range(q)] + [0] * (255 - q))
     groups: dict[int, list] = {}
-    for w, (e0, f0, m) in enumerate(windows):
-        if m < cut:
-            for c, f in zip(colors[e0 : e0 + m], range(f0, f0 + m)):
-                tab = tabs[c]
-                cand = tab[f] + 1
-                if cand > tab[w]:
-                    tab[w] = cand
-            continue
-        ranked = groups.get(f0)
-        if ranked is None:
-            ranked = groups[f0] = [
-                (tab, _value_masks(bytes(tab[f0 : f0 + m]), s))
-                for s, tab in enumerate(tabs[1:])
-            ]
-        run = int.from_bytes(raw[e0 : e0 + m].translate(onehot), "little")
-        for tab, pairs in ranked:
-            for v, mask in pairs:
-                if run & mask:
-                    tab[w] = v
-                    break
+    w = -1
+    for top, blocks in window_runs(coloring.N, coloring.k):
+        for f0, m in blocks:
+            w += 1
+            e0 = top + f0
+            if m < cut:
+                for c, f in zip(colors[e0 : e0 + m], range(f0, f0 + m)):
+                    tab = tabs[c]
+                    cand = tab[f] + 1
+                    if cand > tab[w]:
+                        tab[w] = cand
+                continue
+            ranked = groups.get(f0)
+            if ranked is None:
+                ranked = groups[f0] = [
+                    (tab, _value_masks(bytes(tab[f0 : f0 + m]), s))
+                    for s, tab in enumerate(tabs[1:])
+                ]
+            run = int.from_bytes(raw[e0 : e0 + m].translate(onehot), "little")
+            for tab, pairs in ranked:
+                for v, mask in pairs:
+                    if run & mask:
+                        tab[w] = v
+                        break
     return tabs
 
 
-def _path_back(coloring: EdgeColoring, windows, ltab: list, color: int, rank: int, wm) -> tuple:
+def _path_back(coloring: EdgeColoring, ltab: list, color: int, rank: int, wm) -> tuple:
     """The vertices of a longest color-``color`` path ending with the window
     of ``rank``, rebuilt from that color's forward table ``ltab``.
 
     Each step goes back to the first front a whose edge has the color and
     whose value is one less; every such path steps back through one, so
     from the least-ranked window of a value this is the path of that length
-    whose reversed vertex sequence is least.  One unit per candidate a.
+    whose reversed vertex sequence is least.  The window t + (v,) has its
+    edges from the rank of (0,) + t + (v,) and its fronts from that of
+    (0,) + t, a block of the window index.  One unit per candidate a.
     """
     colors = coloring.colors
     window = colex_unrank(rank, coloring.k - 1)
-    fronts = []
+    path = window
     while ltab[rank]:
-        e0, f0, m = windows[rank]
+        f0 = colex_rank((0,) + window[:-1])
+        e0 = f0 + comb(window[-1], coloring.k)
         want = ltab[rank] - 1
-        a = next(a for a in range(m) if colors[e0 + a] == color and ltab[f0 + a] == want)
+        a = next(a for a in range(window[0])
+                 if colors[e0 + a] == color and ltab[f0 + a] == want)
         wm.prepay(a + 1)
-        fronts.append(a)
+        window = (a,) + window[:-1]
+        path = (a,) + path
         rank = f0 + a
-    return tuple(reversed(fronts)) + window
+    return path
 
 
 def longest_mono(
@@ -218,14 +228,13 @@ def longest_mono(
     # the window index, the sweep and the witness starts walk every window,
     # and at wide k windows far outnumber edges: one unit each, paid first
     wm.charge(comb(coloring.N, coloring.k - 1))
-    windows = colex_windows(coloring.N, coloring.k)
-    fwd = _sweep(coloring, windows, wm)
+    fwd = _sweep(coloring, wm)
     maxima = {c: max(fwd[c], default=0) for c in range(1, q + 1)}
     if not want_witnesses:
         return PathScan(per_color_max=maxima, forward=fwd)
     wits = {
         c: MonotonePath(k=coloring.k, color=c, vertices=_path_back(
-            coloring, windows, fwd[c], c, fwd[c].index(maxima[c]), wm))
+            coloring, fwd[c], c, fwd[c].index(maxima[c]), wm))
         if maxima[c] > 0
         else None
         for c in range(1, q + 1)
@@ -370,8 +379,7 @@ def _extract_collision_path(
             raise AssertionError("label collision walk found no containment step")
         t = (x,) + t
     col = coloring.color_of(t)
-    windows = colex_windows(coloring.N, k)
-    seq = _path_back(coloring, windows, forward[col], col, colex_rank(t[:-1]), wm)
+    seq = _path_back(coloring, forward[col], col, colex_rank(t[:-1]), wm)
     return MonotonePath(k=k, color=col, vertices=seq + (t[-1],))
 
 

@@ -38,7 +38,7 @@ from math import comb
 from .budget import default_budget, recall, remember
 from .colorings import EdgeColoring
 from .paths import longest_mono
-from .subsets import colex_windows
+from .subsets import window_runs
 
 
 @dataclass(frozen=True)
@@ -101,9 +101,17 @@ class _Meter:
                 raise _SearchStop
 
 
-def _front_ranks(windows) -> list[int]:
-    """Front-window rank of every edge, in colex edge order."""
-    return [f0 + a for _, f0, m in windows for a in range(m)]
+def _edge_ranks(big: int, k: int) -> tuple[list[int], list[int]]:
+    """The front and the back window rank of every edge, in colex edge order."""
+    front_rank: list[int] = []
+    back_rank: list[int] = []
+    w = 0
+    for _, blocks in window_runs(big, k):
+        for f0, m in blocks:
+            front_rank.extend(range(f0, f0 + m))
+            back_rank.extend([w] * m)
+            w += 1
+    return front_rank, back_rank
 
 
 def _engine_disequality(big: int, k: int, q: int, mt: _Meter) -> array | None:
@@ -112,13 +120,15 @@ def _engine_disequality(big: int, k: int, q: int, mt: _Meter) -> array | None:
     colors = [0] * num_edges
     if num_edges == 0:
         return array("B")
-    windows = colex_windows(big, k)
+    front_rank, back_rank = _edge_ranks(big, k)
     # the (k+1)-subsets pair each edge j with the edges whose back window is
     # the front window of j
+    into: list[list[int]] = [[] for _ in range(comb(big, k - 1))]
+    for i, w in enumerate(back_rank):
+        into[w].append(i)
     adj: list[list[int]] = [[] for _ in range(num_edges)]
-    for j, f in enumerate(_front_ranks(windows)):
-        e0, _, m = windows[f]
-        for i in range(e0, e0 + m):
+    for j, f in enumerate(front_rank):
+        for i in into[f]:
             adj[i].append(j)
             adj[j].append(i)
     full = (1 << q) - 1
@@ -198,10 +208,8 @@ def _engine_dp(big: int, k: int, q: int, n: int, mt: _Meter) -> array | None:
     num_edges = comb(big, k)
     if num_edges == 0:
         return array("B")
-    windows = colex_windows(big, k)
-    front_rank = _front_ranks(windows)
-    back_rank = [w for w, (_, _, m) in enumerate(windows) for _ in range(m)]
-    tables = [None] + [[0] * len(windows) for _ in range(q)]
+    front_rank, back_rank = _edge_ranks(big, k)
+    tables = [None] + [[0] * comb(big, k - 1) for _ in range(q)]
     colors = [0] * num_edges
     # the value of each edge's back window before the edge was colored
     saved = [0] * num_edges

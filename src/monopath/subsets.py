@@ -9,17 +9,22 @@ with 0-based vertices.  Colex order sorts subsets primarily by their last
 vertex, so a dynamic program that sweeps ranks in increasing order sees
 every edge ending at vertex v only after all edges ending below v.
 
-The path DPs work on (k-1)-windows.  The edges (a,) + b, a < b[0], with back
-window b have consecutive colex ranks, and so do their front windows
-(a,) + b[:-1]; ``colex_windows`` records where the two runs start, so every
-path DP reads colors and window values by index arithmetic alone.  Windows in
-colex order, and a upward within each, visit the edges in colex order.
+The path DPs and the extremal builds work on (k-1)-windows b = t + (v,).
+The edges (a,) + b, a < t[0], with back window b have consecutive colex
+ranks, and so do their fronts (a,) + t.  Where the fronts start, and how
+many there are, depend on t alone, so one block list, a (start, t[0]) pair
+per (k-2)-subset t of range(N-1) in colex order, indexes every window: the
+windows ending at v are the first C(v, k-2) blocks in turn, their ranks
+run on from C(v, k-1), and their edges start at C(v, k) + start.  Windows
+in colex order, and a upward within each, visit the edges in colex order.
+``window_runs`` walks the list that way.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate, islice
 from math import comb
-from typing import Iterator
+from typing import Iterable, Iterator
 
 
 def colex_rank(t: tuple[int, ...]) -> int:
@@ -81,29 +86,29 @@ def subsets_colex(n: int, r: int) -> Iterator[tuple[int, ...]]:
     return map(tuple, colex_walk(n, r))
 
 
-def colex_windows(n: int, k: int) -> list[tuple[int, int, int]]:
-    """One (edge_rank0, front_rank0, m) triple per (k-1)-subset b of range(n).
+def colex_blocks(n: int, r: int) -> list[tuple[int, int]]:
+    """One (start, t[0]) pair per r-subset t of range(n), r >= 1, in colex order.
 
-    Triples come in colex order of b, so the list position is b's rank.  For
-    a < m = b[0], the edge (a,) + b has rank edge_rank0 + a and its front
-    window (a,) + b[:-1] has rank front_rank0 + a.
-
-    Both starts follow from the colex rank sum: edge_rank0 is the rank of
-    (0,) + b, the first vertices of the windows before b summed, and
-    front_rank0 drops the term of the last vertex v, C(v, k), from it.  One
-    walk over the windows builds the list, in time and memory linear in its
-    length for every k.
+    ``start`` is the colex rank of (0,) + t among the (r+1)-subsets, the
+    first of the t[0] consecutive ranks of (a,) + t, a < t[0].  Over all t
+    in turn those runs are every (r+1)-subset, so ``start`` sums the first
+    vertices before t.  One walk builds the list, in time and memory linear
+    in its length for every r.
     """
-    if k < 2:
-        raise ValueError("windows need k >= 2")
-    out = []
-    append = out.append
-    edge0 = last = top = 0
-    for b in colex_walk(n, k - 1):
-        if b[-1] != last:
-            last = b[-1]
-            top = comb(last, k)
-        m = b[0]
-        append((edge0, edge0 - top, m))
-        edge0 += m
-    return out
+    firsts = [b[0] for b in colex_walk(n, r)]
+    return list(zip(accumulate(firsts, initial=0), firsts))
+
+
+def window_runs(n: int, k: int) -> Iterator[tuple[int, Iterable[tuple[int, int]]]]:
+    """For each last vertex v of a (k-1)-window of range(n), k >= 2, in
+    order: C(v, k), where the edges ending at v start, and the blocks
+    (start, m) of the windows ending at v, in colex order.
+
+    The window t + (v,) has the incoming edges (a,) + t + (v,) at ranks
+    C(v, k) + start + a and their fronts at start + a, for a < m.  At k = 2
+    a window is one vertex v, with its fronts (a,), a < v, from rank 0.
+    """
+    if k == 2:
+        return ((comb(v, 2), ((0, v),)) for v in range(n))
+    blocks = colex_blocks(n - 1, k - 2)
+    return ((comb(v, k), islice(blocks, comb(v, k - 2))) for v in range(k - 2, n))

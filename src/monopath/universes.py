@@ -24,8 +24,10 @@ containment.
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import product
 from math import comb
+from operator import and_, or_
 
 from .budget import WorkMeter, meter
 from .counting import box_size, box_text, enumerate_order_ideals
@@ -63,23 +65,17 @@ class Universe:
     def pred_masks(self, wm=None) -> list[int]:
         """Strict-containment predecessor masks over element indices.
 
-        Quadratic in the universe size: one unit per pair (j, i), j <= i,
-        paid before the scan, so callers holding a work meter should pass
-        it.  The cached result is reused, unpaid, on later calls.
+        Built from bitsets of whole columns, one per coordinate value of the
+        points or per parent element of the masks, but paid as the pairs it
+        decides: one unit per pair (j, i), j <= i, paid before the build, so
+        callers holding a work meter should pass it.  The cached result is
+        reused, unpaid, on later calls.
         """
         if self._pred_masks is None:
             els = self.elements
             if wm is not None:
                 wm.prepay(len(els) * (len(els) + 1) // 2)
-            masks = []
-            for i, b in enumerate(els):
-                pm = 0
-                # the sort order extends containment, so predecessors sit below i
-                for j in range(i):
-                    if self.subset_le(els[j], b):
-                        pm |= 1 << j
-                masks.append(pm)
-            self._pred_masks = masks
+            self._pred_masks = _points_below(els) if self.k == 2 else _masks_below(els)
         return self._pred_masks
 
     def principal_masks(self) -> list[int]:
@@ -89,24 +85,46 @@ class Universe:
 
     def element_json(self, el):
         """A point as a coordinate list, a mask as its sorted parent-index list."""
-        if self.k == 2:
-            return list(el)
-        out = []
-        rest = el
-        while rest:
-            out.append((rest & -rest).bit_length() - 1)
-            rest &= rest - 1
-        return out
+        return list(el) if self.k == 2 else list(_bits(el))
 
 
-def _mask_sort_key(mask: int, width: int) -> int:
-    key = 0
-    rest = mask
-    while rest:
-        i = (rest & -rest).bit_length() - 1
-        key |= 1 << (width - 1 - i)
-        rest &= rest - 1
-    return key
+def _bits(mask: int):
+    """The indices of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _points_below(points) -> list[int]:
+    """Per point, the bitset of the earlier points below it coordinatewise:
+    the AND, over its coordinates, of the points whose coordinate there is
+    at most its own."""
+    at_most = []
+    for column in zip(*points):
+        upto: dict[int, int] = {}
+        for i, x in enumerate(column):
+            upto[x] = upto.get(x, 0) | 1 << i
+        below = 0
+        for x in sorted(upto):
+            below = upto[x] = below | upto[x]
+        at_most.append(upto)
+    return [reduce(and_, map(dict.__getitem__, at_most, p)) & (1 << i) - 1
+            for i, p in enumerate(points)]
+
+
+def _masks_below(masks) -> list[int]:
+    """Per mask, the bitset of the earlier masks it contains: those holding
+    none of the parent elements it lacks.  ``has[b]`` is the bitset of the
+    masks that hold parent element b."""
+    width = max(masks).bit_length() or 1
+    # the masks' bits as one string, a row of width digits per mask, read
+    # by columns: the column of bit b is every width-th digit from its own
+    rows = "".join(f"{m:0{width}b}" for m in reversed(masks))
+    has = [int(rows[width - 1 - b :: width], 2) for b in range(width)]
+    full = (1 << width) - 1
+    return [~reduce(or_, map(has.__getitem__, _bits(full & ~m)), 0) & (1 << i) - 1
+            for i, m in enumerate(masks)]
 
 
 def build_universe(
@@ -143,7 +161,8 @@ def build_universe(
         keyed = []
         for m in ideals:
             wm.charge(1 + (width >> 6))
-            keyed.append((_mask_sort_key(m, width), m))
+            # the mask's bits reversed, element 0 most significant
+            keyed.append((int(f"{m:0{width}b}"[::-1], 2), m))
         keyed.sort()
         uni = Universe(order, [m for _, m in keyed], parent=uni)
     if scan is not None:

@@ -13,12 +13,14 @@ keyed by window tuples, for the flat window-rank sweeps in
 :mod:`monopath.paths`; and ``dict_label_vectors`` with
 ``dict_downset_labels``, the label recursion over dicts keyed by tuples,
 for the label tables of :mod:`monopath.paths`, indexed by colex rank and
-read off the forward tables of a path scan.  The extremal colorings have references too, for
-the builds in :mod:`monopath.colorings` that color a whole back window from
-pairwise tables at once: ``delta_chain_colors`` reduces every edge's delta
+read off the forward tables of a path scan.  The extremal colorings have
+references too, for the builds in :mod:`monopath.colorings` that reduce
+the chains of all edges together, one level table at a time: ``delta_chain_colors`` reduces every edge's delta
 chain on its own, and ``first_difference_colors`` compares first
-differences edge by edge; ``window_map_colors`` applies a window's map to
-one edge at a time.  ``tuple_transitivity`` is the transitivity scan that
+differences edge by edge; ``level_step_colors`` takes one level step of
+the build subset by subset.  ``pairwise_pred_masks`` tests containment
+pair by pair, for ``Universe.pred_masks``, which builds the masks from
+bitsets of whole columns.  ``tuple_transitivity`` is the transitivity scan that
 ranks every window of every tuple, charging a unit per tuple, for the
 bulk-paid scan in :mod:`monopath.colorings`, and ``whole_file_load`` reads
 a coloring file with ``json.load`` alone, for ``EdgeColoring.load``, which
@@ -408,33 +410,30 @@ def delta_chain_colors(k: int, n: int, d: int = 2) -> array:
     return colors
 
 
-def window_keys(k: int, box: tuple[int, ...]) -> set[tuple]:
-    """The distinct right-hand elements, one per level, of the reduced delta
-    chain of every back window with a vertex before it, over the order-k
-    universe of ``box``: the per-window maps the iterated-delta build pays
-    for (k >= 3)."""
-    uni = build_universe(k, box)
+def level_step_colors(big: int, j: int, table: list, cols: list) -> list:
+    """One level step of the iterated-delta build, subset by subset: the
+    (j+1)-subset s of range(big) gets ``cols[table[s[1:]]][table[s[:-1]]]``,
+    with ``table`` indexed by the rank of a j-subset in colex order."""
+    def colex(r):
+        return sorted(combinations(range(big), r), key=lambda e: e[::-1])
+
+    rank = {t: i for i, t in enumerate(colex(j))}
+    return [cols[table[rank[s[1:]]]][table[rank[s[:-1]]]] for s in colex(j + 1)]
+
+
+def pairwise_pred_masks(uni) -> list[int]:
+    """Strict-containment predecessor masks of a universe, pair by pair with
+    ``Universe.subset_le``: bit j of element i's mask is set when element
+    j < i is contained in it."""
     els = uni.elements
-    keys = set()
-    for window in combinations(range(1, uni.size), k - 1):
-        chain = [els[i] for i in window]
-        level, key = uni, []
-        while len(chain) > 1:
-            chain = [level.delta(a, b) for a, b in zip(chain, chain[1:])]
-            level = level.parent
-            key.append(chain[0])
-        keys.add(tuple(key))
-    return keys
-
-
-def window_map_colors(big: int, k: int, lefts: list, key_of, build_map) -> array:
-    """The colors ``colorings._color_windows`` fills, edge by edge: the edge
-    (a,) + b gets ``build_map(key_of(b))[lefts[b[0]][a]]``."""
-    colors = array("B")
-    for edge in sorted(combinations(range(big), k), key=lambda e: e[::-1]):
-        b = edge[1:]
-        colors.append(build_map(key_of(b))[lefts[b[0]][edge[0]]])
-    return colors
+    masks = []
+    for i, b in enumerate(els):
+        pm = 0
+        for j in range(i):
+            if uni.subset_le(els[j], b):
+                pm |= 1 << j
+        masks.append(pm)
+    return masks
 
 
 def tuple_transitivity(coloring, wm):

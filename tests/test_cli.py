@@ -4,6 +4,7 @@ import io
 import json
 import sys
 import time
+import tracemalloc
 from math import comb
 
 import pytest
@@ -371,6 +372,24 @@ def test_rho_order_2_pays_before_its_power(capsys):
     assert code == 0 and doc["value"] == "125"
 
 
+def test_rho_box_too_large_for_the_room_ends_before_it_exists(capsys):
+    # the box (3,) * 10^7, the count of its sides and the power 3^(10^7)
+    # took 5 s and 90 MB unpaid before the first unit was charged
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        assert main(["count", "--kind", "rho", "--k", "4", "--d", "10000000", "--n", "3",
+                     "--budget", "10"]) == 3
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.1 and peak < 1_000_000
+    assert capsys.readouterr().err == (
+        "budget exhausted: size of order-4 universe (d=10000000, n=3): "
+        "exceeded work budget of 10 units\n")
+
+
 def test_rho_long_box_pays_before_its_points(capsys):
     # the point count of [3]^(10^6) as a product of 10^6 factors took tens
     # of seconds before the first unit was charged
@@ -423,8 +442,19 @@ def test_construct_long_bound_pays_per_cell(capsys, tmp_path):
     assert main(argv) == 3
     assert time.perf_counter() - start < 5
     assert capsys.readouterr().err == (
-        "budget exhausted: 3-uniform coloring with bounds (1200, 2): "
+        "budget exhausted: 3-uniform coloring over [1200]x[2]: "
         "exceeded work budget of 100000 units\n")
+
+
+def test_3uniform_budget_miss_names_a_long_box_compactly(capsys, tmp_path):
+    # the meter once listed every bound: 849 bytes of stderr
+    argv = ["construct", "--family", "3uniform", "--q", "255", "--bounds", ",".join(["3"] * 255),
+            "--budget", "10", "--out", str(tmp_path / "c.json")]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err == ("budget exhausted: 3-uniform coloring over [3]^255: "
+                   "exceeded work budget of 10 units\n")
+    assert len(err.encode()) < 200
 
 
 def test_coloring_length_checked_without_the_binomial(tmp_path, capsys):
@@ -466,8 +496,9 @@ def test_values_past_the_str_digit_limit_print_in_full(capsys):
 # sha256 of the file ``construct`` writes for each family, kept from the
 # builds that each family had of its own before all three extremal ones
 # became one iterated-delta build: a coloring file must not change with
-# the code that makes it.  Square and ``--bounds`` boxes, and two-digit
-# colors in the q = 10 and q = 12 files.
+# the code that makes it.  Square and ``--bounds`` boxes, two-digit colors
+# in the q = 10 and q = 12 files, and a box of 257 points, too many for its
+# level tables to be held as bytes.
 CONSTRUCT_DIGESTS = [
     ("graph --q 2 --n 3",
      "ea3abe2f8843530c45ce44736619c1c5b19ab36742bc1218a68e78e58d2b6ad4"),
@@ -497,6 +528,8 @@ CONSTRUCT_DIGESTS = [
      "5d09ddf0884fa78214c2bdf41ed42468fd94702bb0b0100cd5040248434c3923"),
     ("3uniform --q 2 --bounds 120,1",
      "64bf872d26f8a20044a67d77e7e2eb067c232f12e080733e11c2c5fad62ab5f1"),
+    ("3uniform --q 2 --bounds 257,1",
+     "8f5388a6bb2ca3c80e00c607e0f919ae1f46d731ebc9dcc48a86bbd3e9be2d83"),
     ("3uniform --q 4 --bounds 1,1,1,2",
      "cbaec6bf9d07b8ede7e22b7d79112d6fece3cec615680c024791e0faa38d1e44"),
     ("3uniform --q 2 --bounds 5,3",

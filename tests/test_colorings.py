@@ -14,14 +14,13 @@ from helpers import (
     delta_chain_colors,
     first_difference_colors,
     tuple_transitivity,
+    level_step_colors,
     whole_file_load,
-    window_keys,
-    window_map_colors,
 )
 from monopath.budget import BudgetExceeded, WorkMeter
 from monopath.colorings import (
     EdgeColoring,
-    _color_windows,
+    _level_step,
     _split_saved,
     check_transitivity_witness,
     color_3uniform_lower,
@@ -30,7 +29,7 @@ from monopath.colorings import (
     is_transitive,
     random_coloring,
 )
-from monopath.counting import count_box_partitions, count_rho, macmahon, p1_closed
+from monopath.counting import box_text, count_box_partitions, count_rho, macmahon, p1_closed
 from monopath.subsets import colex_rank, subsets_colex
 from monopath.universes import build_universe
 
@@ -301,43 +300,34 @@ def test_3uniform_matches_edge_by_edge_reference_on_random_boxes(case):
 @pytest.mark.parametrize("top", [255, 256, 300])
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_window_fill_matches_edge_by_edge_reference(k, top):
-    # table entries up to ``top``: at 255 every row fits in bytes and each
-    # window is one translate, above it the fill looks up edge by edge
+    # one level step, H_k from H_{k-1}, with table entries up to ``top``: at
+    # 255 every entry and column fits in bytes and each block is one
+    # translate, above it the step looks up entry by entry
     rng = random.Random(100 * k + top)
     big = 9
-    lefts = [[rng.randint(0, top) for _ in range(v)] for v in range(big)]
-    lefts[-1][-1] = top
-    maps = {}
-
-    def key_of(b):
-        return sum(b) % 5
-
-    def build_map(key):
-        if key not in maps:
-            maps[key] = [rng.randint(1, 4) for _ in range(top + 1)]
-        return maps[key]
-
-    got = _color_windows(big, k, lefts, key_of, build_map)
-    assert got.tobytes() == window_map_colors(big, k, lefts, key_of, build_map).tobytes()
+    table = [rng.randint(0, top) for _ in range(comb(big, k - 1))]
+    table[-1] = top
+    cols = [[rng.randint(0, top) for _ in range(top + 1)] for _ in range(top + 1)]
+    got = _level_step(big, k - 1, table, cols)
+    assert list(got) == level_step_colors(big, k - 1, table, cols)
+    assert isinstance(got, bytearray) == (top < 256)
     assert len(got) == comb(big, k)
 
 
 def _iterated_delta_units(k, box) -> int:
     """The units of one build over ``box``: the order-k universe's own, then
-    edges, the top level's ascending pairs, every ordered pair below it down
-    to the grid, and one map over level k-1 per distinct window key."""
+    edges, the level tables H_2, ..., H_{k-1} over the vertex subsets, and
+    every ordered pair of each level below the top, down to the grid."""
     uni_wm = WorkMeter(limit=10**9)
     uni = build_universe(k, box, budget=uni_wm)
     big = uni.size
-    total = uni_wm.used + comb(big, k) + comb(big, 2)
-    if k == 2:
-        return total
+    total = uni_wm.used + comb(big, k) + sum(comb(big, j) for j in range(2, max(k, 3)))
     sizes = []
     level = uni.parent
     while level is not None:
         sizes.append(level.size)
         level = level.parent
-    return total + sum(s * s for s in sizes) + len(window_keys(k, box)) * sizes[0]
+    return total + sum(s * s for s in sizes)
 
 
 def _pays_on_one_meter(build, total, label):
@@ -376,7 +366,7 @@ def test_graph_pays_its_edges_before_its_points():
 def test_3uniform_units_per_cell(q, bounds):
     _pays_on_one_meter(lambda budget: color_3uniform_lower(q, bounds=bounds, budget=budget),
                        _iterated_delta_units(3, bounds),
-                       f"3-uniform coloring with bounds {bounds}")
+                       f"3-uniform coloring over {box_text(bounds)}")
 
 
 def test_3uniform_budget():

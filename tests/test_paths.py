@@ -280,6 +280,37 @@ def test_mask_steps_and_ranked_labels_match_references(col):
     _check_against_references(col)
 
 
+@st.composite
+def cut_colorings(draw, k):
+    """Random k-uniform colorings, from N < k up to runs past the mask
+    step's cut where C(N, k) stays small, with q = 9 among the color counts
+    (no run takes the mask step then)."""
+    q = draw(st.sampled_from([1, 2, 4, 9]))
+    widest = max(n for n in range(k, k + paths.FORWARD_CUT + 2) if comb(n, k) <= 20000)
+    big = widest if draw(st.booleans()) else draw(st.integers(min_value=0, max_value=widest))
+    bias = draw(st.sampled_from([0.0, 0.9]))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    colors = array("B", (1 if rng.random() < bias else rng.randint(1, q)
+                         for _ in range(comb(big, k))))
+    return EdgeColoring(k=k, q=q, N=big, colors=colors)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_sweep_matches_dict_reference_on_both_sides_of_the_cut(k, data):
+    # at k = 3, 4 and 5 the widest N has runs of FORWARD_CUT edges and more
+    col = data.draw(cut_colorings(k))
+    for want in (True, False):
+        wm, ref_wm = WorkMeter(10**9), WorkMeter(10**9)
+        scan = longest_mono(col, want_witnesses=want, budget=wm)
+        maxima, wits = dict_longest_mono(col, ref_wm, want_witnesses=want)
+        assert scan.per_color_max == maxima
+        assert wm.used == ref_wm.used
+        if want:
+            assert _witness_vertices(scan) == wits
+
+
 @pytest.mark.parametrize("k,big", [(2, 300), (3, 120)])
 def test_one_color_values_past_a_byte_match_references(k, big):
     # the longest path has N - k + 1 edges: 299 at k = 2, 118 at k = 3

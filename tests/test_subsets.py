@@ -4,7 +4,7 @@ from math import comb
 from hypothesis import given
 from hypothesis import strategies as st
 
-from monopath.subsets import colex_rank, colex_unrank, colex_windows, subsets_colex
+from monopath.subsets import colex_blocks, colex_rank, colex_unrank, subsets_colex, window_runs
 
 
 def test_colex_rank_small():
@@ -43,17 +43,34 @@ def test_colex_primary_key_is_last_vertex():
     assert lasts == sorted(lasts)
 
 
-@given(st.integers(min_value=0, max_value=10), st.integers(min_value=2, max_value=12))
-def test_colex_windows_match_ranks(n, k):
-    index = colex_windows(n, k)
+def _check_window_runs(n, k):
+    """Every window of ``window_runs(n, k)`` names its edges and fronts by rank."""
     windows = list(subsets_colex(n, k - 1))
-    assert len(index) == len(windows)
-    for (edge0, front0, m), b in zip(index, windows):
-        assert m == b[0]
-        for a in range(m):
-            assert colex_rank((a,) + b) == edge0 + a
-            assert colex_rank((a,) + b[:-1]) == front0 + a
-    assert sum(m for _, _, m in index) == comb(n, k)
+    w = 0
+    for top, blocks in window_runs(n, k):
+        for start, m in blocks:
+            b = windows[w]
+            assert m == b[0]
+            for a in range(m):
+                assert colex_rank((a,) + b) == top + start + a
+                assert colex_rank((a,) + b[:-1]) == start + a
+            w += 1
+    assert w == len(windows)
+
+
+@given(st.integers(min_value=0, max_value=10), st.integers(min_value=2, max_value=12))
+def test_window_runs_match_ranks(n, k):
+    _check_window_runs(n, k)
+
+
+@given(st.integers(min_value=0, max_value=10), st.integers(min_value=1, max_value=5))
+def test_colex_blocks_start_the_runs_of_the_level_above(n, r):
+    blocks = colex_blocks(n, r)
+    subsets = list(subsets_colex(n, r))
+    assert [m for _, m in blocks] == [t[0] for t in subsets]
+    for (start, m), t in zip(blocks, subsets):
+        assert all(colex_rank((a,) + t) == start + a for a in range(m))
+    assert sum(m for _, m in blocks) == comb(n, r + 1)
 
 
 def test_enumeration_deeper_than_recursion_limit():
@@ -64,14 +81,10 @@ def test_enumeration_deeper_than_recursion_limit():
     assert all(len(t) == 1500 for t in seq)
 
 
-def test_colex_windows_wide_k_stay_small():
+def test_window_runs_wide_k_stay_small():
     # the windows of a 35-vertex 34-uniform hypergraph are its 595 vertex
-    # pairs left out; no list may grow past that on the way
-    index = colex_windows(35, 34)
-    assert len(index) == comb(35, 33)
-    for (edge0, front0, m), b in zip(index, subsets_colex(35, 33)):
-        assert m == b[0]
-        for a in range(m):
-            assert colex_rank((a,) + b) == edge0 + a
-            assert colex_rank((a,) + b[:-1]) == front0 + a
-    assert colex_windows(5, 10**9) == []
+    # pairs left out, and its block list is 561 long; no list may grow past
+    # that on the way
+    assert len(colex_blocks(34, 32)) == comb(34, 32)
+    _check_window_runs(35, 34)
+    assert list(window_runs(5, 10**9)) == []

@@ -1,13 +1,13 @@
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from monopath.budget import BudgetExceeded
 from monopath.counting import GridBox, count_box_partitions, count_downsets, count_rho
 from monopath.universes import build_universe
-from helpers import brute_ideal_masks
+from helpers import brute_ideal_masks, pairwise_pred_masks
 
 
 def test_build_validation():
@@ -115,6 +115,27 @@ def test_pred_masks_match_brute_containment():
         assert masks[i] == expect
     principal = u.principal_masks()
     assert all(principal[i] == masks[i] | (1 << i) for i in range(len(els)))
+
+
+@st.composite
+def _ordered_boxes(draw):
+    """An order 2..4 and a random box, sides of 1 included, whose universe
+    stays at most a few hundred elements."""
+    k = draw(st.integers(min_value=2, max_value=4))
+    most = {2: 5, 3: 3, 4: 2}[k]
+    box = tuple(draw(st.lists(st.integers(min_value=1, max_value=most), min_size=1, max_size=4)))
+    if k > 2:
+        # the order-3 universe: at most 400 down-sets, and 20 below order 4
+        assume(count_box_partitions(box[:-1], box[-1]) <= (400 if k == 3 else 20))
+    return k, box
+
+
+@given(_ordered_boxes())
+@settings(max_examples=60, deadline=None)
+def test_pred_masks_match_pairwise_reference(case):
+    k, box = case
+    u = build_universe(k, box)
+    assert u.pred_masks() == pairwise_pred_masks(u)
 
 
 def test_rho_growth_along_n_and_k():
