@@ -21,15 +21,20 @@ run_inequality_suite evaluates every finitely checkable inequality of the
 theory on a small grid: the middle-layer rank bound, partition-count
 bounds, the 3-uniform Ramsey sandwich, the rho recursion in both forms, the
 tower transform and its two-step variant, and the tower-difference rule.
-Verdicts are PASS/FAIL (exact or outward-rounded), SKIPPED (a side is not
-desk-computable or exceeds the work budget), or INFO (asymptotic rates
-reported, never judged).
+It is one table of checks, each a list of (name, statement) pairs, a grid
+of params, a rule that returns the sides of its rows and the note a budget
+miss leaves, run in order by one loop.  Its counts draw on one pot of work
+units, and once a run has spent twice its budget every further count is a
+miss.  Verdicts are PASS/FAIL (exact or outward-rounded), SKIPPED (a side
+is not desk-computable or exceeds the work budget), or INFO (asymptotic
+rates reported, never judged).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import comb, isqrt, log2
 
 from .budget import MEMO, BudgetExceeded, WorkMeter, default_budget
@@ -205,37 +210,21 @@ def _pow2_root(p: int, s: int) -> int:
     return x
 
 
-def _pow2_lower(e: Fraction, s: int, t: int) -> Fraction:
-    """Rational r with r <= 2^e; exact when e is an integer."""
-    if e.denominator == 1:
-        v = e.numerator
-        if abs(v) > _MAX_BITS:
-            raise _Unbounded
-        return Fraction(1 << v) if v >= 0 else Fraction(1, 1 << -v)
-    m = e.numerator // e.denominator
-    if m > _MAX_BITS:
-        raise _Unbounded
-    f = e - m
-    u = (f.numerator << s) // f.denominator
-    r = _pow2_root(u + (t << s), s)
-    return Fraction(r << m, 1 << t) if m >= 0 else Fraction(r, 1 << (t - m))
+def _pow2_bound(e: Fraction, s: int, t: int, up: bool) -> Fraction:
+    """Rational r with r <= 2^e, or 2^e <= r when ``up``; exact for integer e.
 
-
-def _pow2_upper(e: Fraction, s: int, t: int) -> Fraction:
-    """Rational r with 2^e <= r."""
-    if e.denominator == 1:
-        v = e.numerator
-        if abs(v) > _MAX_BITS:
-            raise _Unbounded
-        return Fraction(1 << v) if v >= 0 else Fraction(1, 1 << -v)
-    m = e.numerator // e.denominator
-    if m > _MAX_BITS:
+    The fractional part f of e is rounded to s dyadic bits, and 2^f to t
+    bits, both in that direction.
+    """
+    m, f = divmod(e, 1)
+    if m > _MAX_BITS or (not f and -m > _MAX_BITS):
         raise _Unbounded
-    f = e - m
-    u = -((-f.numerator << s) // f.denominator)
-    r = _pow2_root(u + (t << s), s)
-    hi = Fraction(r + 1, 1 << t)
-    return hi * (1 << m) if m >= 0 else hi / (1 << -m)
+    r = Fraction(1)
+    if f:
+        num = f.numerator << s
+        u = -(-num // f.denominator) if up else num // f.denominator
+        r = Fraction(_pow2_root(u + (t << s), s) + (1 if up else 0), 1 << t)
+    return r * (1 << m) if m >= 0 else r / (1 << -m)
 
 
 def tower_bounds(
@@ -247,7 +236,7 @@ def tower_bounds(
     """
     lo = hi = ts.top
     for _ in range(ts.height - 1):
-        lo, hi = _pow2_lower(lo, s, t), _pow2_upper(hi, s, t)
+        lo, hi = _pow2_bound(lo, s, t, up=False), _pow2_bound(hi, s, t, up=True)
     return lo, hi
 
 
@@ -280,28 +269,19 @@ def _verdict(ok: bool | None) -> str:
     return "PASS" if ok else "FAIL"
 
 
-def _row(name, statement, params, lhs, rhs, verdict, **extra) -> dict:
-    out = {
-        "name": name,
-        "statement": statement,
-        "params": params,
-        "lhs": lhs,
-        "rhs": rhs,
-        "verdict": verdict,
-    }
-    out.update(extra)
-    return out
+class _Skip(Exception):
+    """A side of the row cannot be had at desk scale; the message says why."""
 
 
-def _skip(name, statement, params, reason) -> dict:
-    return _row(name, statement, params, None, None, "SKIPPED", note=reason)
+def _grid(**axes) -> list[dict]:
+    """One params dict per point of the product of the axes, first axis outermost."""
+    return [dict(zip(axes, point)) for point in product(*axes.values())]
 
 
-def _p_count(d: int, n: int, *, budget) -> int:
-    """P_d(n): d-dimensional partitions in the n-box, via the exact engine."""
-    if d == 0:
-        return n + 1
-    return count_box_partitions((n,) * d, n, budget=budget)
+# t_k(a) - t_k(b) >= t_k(a - 2^-(k-2)) is checked at these (a, b)
+_TOWER_DIFFERENCE_TOPS = [
+    ("3", "2"), ("4", "3"), ("4", "2"), ("7/2", "2"), ("9/2", "3"), ("10/3", "11/6"),
+]
 
 
 def run_inequality_suite(
@@ -309,9 +289,20 @@ def run_inequality_suite(
 ) -> list[dict]:
     """Evaluate every finitely checkable inequality on the default grid.
 
-    The budget is pooled over the whole run, no single count may take more
-    than an eighth of it, and results (including budget misses) are cached so
-    rows sharing a value never pay for it twice.
+    The suite is one table of checks.  Each check holds its (name, statement)
+    pairs, its grid of params, a rule that returns one dict of sides (lhs,
+    rhs, verdict and any extra keys) per pair, and the note of the SKIPPED
+    rows it gets when a count misses its budget.  One loop runs them in
+    order.  A check without a note lets the miss propagate (``middle_max``,
+    whose miss ends the run); a rule can raise ``_Skip`` for a note of its
+    own, or return no sides to emit no row.
+
+    The budget is pooled over the whole run.  A count gets the room left in
+    the pot, but no more than an eighth of the budget, and no less than a
+    two-hundredth of it, so trivial values still appear after heavy counts
+    have drained the pot; once the run has spent twice its budget, every
+    further count is a miss.  Results, budget misses included, are cached,
+    so rows sharing a value never pay for it twice.
 
     That per-run cache is an accounting rule: a value several rows share is
     charged to the pot once per run, and every run starts with a full pot.
@@ -322,315 +313,161 @@ def run_inequality_suite(
     pot the same units and returns the same rows.
     """
     total = default_budget() if budget is None else budget
-    pot = WorkMeter(total, "inequality suite")
-    cell_cap = max(1, total // 8)
-    # cells stay runnable on an overdrawn pot, but only barely: trivial
-    # values still appear after heavy cells have drained the budget
-    cell_floor = max(1, total // 200)
+    cap, floor = max(1, total // 8), max(1, total // 200)
+    spent = 0
     cache: dict[tuple, object] = {}
 
-    def _pooled(key, fn, *args):
-        hit = cache.get(key)
-        if hit is not None:
-            if isinstance(hit, BudgetExceeded):
-                raise hit
-            return hit
-        remaining = pot.limit - pot.used
-        sub = WorkMeter(max(cell_floor, min(cell_cap, remaining)), f"suite cell {key}")
-        try:
-            value = fn(*args, budget=sub)
-        except BudgetExceeded as exc:
-            cache[key] = exc
-            raise
-        finally:
-            pot.used += sub.used
-        cache[key] = value
-        return value
+    def cell(key, count, *args):
+        nonlocal spent
+        if key not in cache:
+            room = max(floor, min(cap, total - spent)) if spent < 2 * total else 0
+            sub = WorkMeter(room, f"suite cell {key}")
+            try:
+                if not room:
+                    sub.charge()  # past twice the budget: a miss without the count
+                cache[key] = count(*args, budget=sub)
+            except BudgetExceeded as exc:
+                cache[key] = exc
+            spent += sub.used
+        if isinstance(cache[key], BudgetExceeded):
+            raise cache[key]
+        return cache[key]
 
     def pc(d: int, n: int) -> int:
-        return _pooled(("P", d, n), _p_count, d, n)
+        """P_d(n): d-dimensional partitions in the n-box; P_0(n) = n + 1 is free."""
+        if d == 0:
+            return n + 1
+        return cell(("P", d, n), count_box_partitions, (n,) * d, n)
 
     def rho(k: int, d: int, n: int) -> int:
-        return _pooled(("rho", k, d, n), count_rho, k, d, n)
+        return cell(("rho", k, d, n), count_rho, k, d, n)
 
     def mid(n: int, d: int) -> int:
-        return _pooled(("M", n, d), middle_max, n, d)[1]
+        return cell(("M", n, d), middle_max, n, d)[1]
 
-    rows: list[dict] = []
+    def middle_rank(d, n):
+        m = mid(n, d)  # squared to integers: 9 d M^2 >= 4 n^(2d-2)
+        return [dict(lhs=str(m), rhs=f"~{(2 / 3) * n ** (d - 1) / d**0.5:.4f}",
+                     verdict=_verdict(9 * d * m * m >= 4 * n ** (2 * d - 2)))]
 
-    # middle layer of [n]^d: M >= (2/3) n^(d-1)/sqrt(d), squared to integers
-    stmt_m = "max_k S_n(k,d) >= (2/3) n^(d-1)/sqrt(d)"
-    for d in range(2, d_max + 1):
-        for n in range(1, n_max + 1):
-            m_val = mid(n, d)
-            ok = 9 * d * m_val * m_val >= 4 * n ** (2 * d - 2)
-            approx = (2 / 3) * n ** (d - 1) / d**0.5
-            rows.append(
-                _row(
-                    "middle-rank-lower",
-                    stmt_m,
-                    {"d": d, "n": n},
-                    str(m_val),
-                    f"~{approx:.4f}",
-                    _verdict(ok),
-                )
-            )
+    def downsets(d, n):
+        m, p = mid(n, d), pc(d - 1, n)
+        return [dict(lhs=_fmt_int(p), rhs=f"2^{m}", verdict=_verdict(_int_ge_pow2(p, m)))]
 
-    # P_{d-1}(n) >= 2^M, exact bit-length comparison
-    stmt_pm = "P_{d-1}(n) >= 2^(max_k S_n(k,d))"
-    for d in range(2, d_max + 1):
-        for n in range(1, n_max + 1):
-            params = {"d": d, "n": n}
-            m_val = mid(n, d)
+    def crude_upper(d, n):
+        p, rhs = pc(d, n), comb(2 * n, n) ** (n ** (d - 1))
+        return [dict(lhs=_fmt_int(p), rhs=_fmt_int(rhs), verdict=_verdict(p <= rhs))]
+
+    def partition_lower(d, n):
+        p = pc(d, n)  # 3 sqrt(d+1) log2 p >= 2 n^d, outward-rounded
+        ok = _sqrt_weighted_log_ge(p, 3, d + 1, 2 * n**d)
+        return [dict(lhs=_fmt_int(p), rhs=f"2^~{(2 / 3) * n**d / (d + 1) ** 0.5:.4f}",
+                     verdict=_verdict(ok))]
+
+    def sandwich(q, n):
+        n3 = pc(q - 1, n) + 1
+        upper_ok = n3 <= 2 ** (2 * n ** (q - 1))
+        lower_ok = _sqrt_weighted_log_ge(n3, 3, q, 2 * n ** (q - 1))
+        return [dict(lhs=f"2^~{(2 / 3) * n ** (q - 1) / q**0.5:.4f}", rhs=f"2^{2 * n ** (q - 1)}",
+                     verdict=_verdict(None if lower_ok is None else lower_ok and upper_ok),
+                     mid=_fmt_int(n3))]
+
+    def recursion(k, d, n):
+        # exact via big-int powers, for rho_k and for N_k = rho_k + 1
+        r0, r1, r2 = rho(k - 2, d, n), rho(k - 1, d, n), rho(k, d, n)
+        return [dict(lhs=_fmt_int(r), rhs=f"2^({r1 + 1}/{r0 + 1})",
+                     verdict=_verdict(_int_vs_pow2_frac(r, r1 + 1, r0 + 1)))
+                for r in (r2, r2 + 1)]
+
+    def tower_transform(k, q, n):
+        nk, n3 = rho(k, q, n) + 1, pc(q - 1, n) + 1
+        rhs = TowerScalar(k - 2, Fraction(n3))
+        cmp = tower_compare(nk, rhs)
+        return [dict(lhs=_fmt_int(nk), rhs=str(rhs),
+                     verdict=_verdict(None if cmp == "undecided" else cmp in ("lt", "eq")))]
+
+    def step_upper(k, q, n):
+        nk, colors = rho(k, q, n) + 1, pc(q - 1, n)
+        if k == 4:  # N_2(c, 2) = 2^c + 1
+            if colors > _MAX_BITS:
+                raise _Skip("right side exponent too large")
+            rhs = (1 << colors) + 1
+        else:  # N_3(c, 2) = P_{c-1}(2) + 1: a (c-1)-dimensional count
+            if colors - 1 > 6:
+                raise _Skip(f"right side needs P_{colors - 1}(2), not desk-computable")
             try:
-                p = pc(d - 1, n)
+                rhs = pc(colors - 1, 2) + 1
             except BudgetExceeded:
-                rows.append(_skip("downsets-exceed-middle-layer", stmt_pm, params,
-                                  "partition count exceeds work budget"))
-                continue
-            rows.append(
-                _row(
-                    "downsets-exceed-middle-layer",
-                    stmt_pm,
-                    params,
-                    _fmt_int(p),
-                    f"2^{m_val}",
-                    _verdict(_int_ge_pow2(p, m_val)),
-                )
-            )
+                raise _Skip("right side exceeds work budget") from None
+        return [dict(lhs=_fmt_int(nk), rhs=_fmt_int(rhs), verdict=_verdict(nk <= rhs))]
 
-    # P_d(n) <= binom(2n,n)^(n^(d-1)), exact big-int comparison
-    stmt_cr = "P_d(n) <= binom(2n,n)^(n^(d-1))"
-    for d in range(1, d_max + 1):
-        for n in range(1, n_max + 1):
-            params = {"d": d, "n": n}
-            try:
-                p = pc(d, n)
-            except BudgetExceeded:
-                rows.append(_skip("crude-upper", stmt_cr, params,
-                                  "partition count exceeds work budget"))
-                continue
-            rhs = comb(2 * n, n) ** (n ** (d - 1))
-            rows.append(
-                _row(
-                    "crude-upper",
-                    stmt_cr,
-                    params,
-                    _fmt_int(p),
-                    _fmt_int(rhs),
-                    _verdict(p <= rhs),
-                )
-            )
+    def tower_difference(k, a, b):
+        c = Fraction(a) - Fraction(1, 1 << (k - 2))
+        ok = _tower_difference_holds(k, Fraction(a), Fraction(b), c)
+        return [dict(lhs=f"t_{k}({a}) - t_{k}({b})", rhs=f"t_{k}({_fmt_fraction(c)})",
+                     verdict=_verdict(ok))]
 
-    # P_d(n) >= 2^((2/3) n^d / sqrt(d+1)): outward-rounded decision
-    stmt_pl = "P_d(n) >= 2^((2/3) n^d / sqrt(d+1))"
-    for d in range(1, d_max + 1):
-        for n in range(1, n_max + 1):
-            params = {"d": d, "n": n}
-            try:
-                p = pc(d, n)
-            except BudgetExceeded:
-                rows.append(_skip("partition-count-lower", stmt_pl, params,
-                                  "partition count exceeds work budget"))
-                continue
-            # exponent (2 n^d) / (3 sqrt(d+1)): compare 3 sqrt(d+1) log2 p >= 2 n^d
-            ok = _sqrt_weighted_log_ge(p, 3, d + 1, 2 * n**d)
-            approx = (2 / 3) * n**d / (d + 1) ** 0.5
-            rows.append(
-                _row(
-                    "partition-count-lower",
-                    stmt_pl,
-                    params,
-                    _fmt_int(p),
-                    f"2^~{approx:.4f}",
-                    _verdict(ok),
-                )
-            )
-
-    # 2^((2/3) n^(q-1)/sqrt(q)) <= N_3(q,n) <= 2^(2 n^(q-1))
-    stmt_sw = "2^((2/3) n^(q-1)/sqrt(q)) <= N_3(q,n) <= 2^(2 n^(q-1))"
-    for q in range(2, d_max + 1):
-        for n in range(1, n_max + 1):
-            params = {"q": q, "n": n}
-            try:
-                n3 = pc(q - 1, n) + 1
-            except BudgetExceeded:
-                rows.append(_skip("ramsey3-sandwich", stmt_sw, params,
-                                  "partition count exceeds work budget"))
-                continue
-            upper_ok = n3 <= 2 ** (2 * n ** (q - 1))
-            lower_ok = _sqrt_weighted_log_ge(n3, 3, q, 2 * n ** (q - 1))
-            ok = None if lower_ok is None else (lower_ok and upper_ok)
-            rows.append(
-                _row(
-                    "ramsey3-sandwich",
-                    stmt_sw,
-                    params,
-                    f"2^~{(2 / 3) * n ** (q - 1) / q**0.5:.4f}",
-                    f"2^{2 * n ** (q - 1)}",
-                    _verdict(ok),
-                    mid=_fmt_int(n3),
-                )
-            )
-
-    # rho recursion, both raw and Ramsey-number form; exact via big-int powers
-    stmt_rr = "rho_k(n) >= 2^((rho_{k-1}(n)+1)/(rho_{k-2}(n)+1))"
-    stmt_nr = "N_k(q,n) >= 2^(N_{k-1}(q,n)/N_{k-2}(q,n))"
-    for k in range(4, k_max + 1):
-        for d in range(1, d_max + 1):
-            for n in range(1, n_max + 1):
-                params = {"k": k, "d": d, "n": n}
-                try:
-                    r0 = rho(k - 2, d, n)
-                    r1 = rho(k - 1, d, n)
-                    r2 = rho(k, d, n)
-                except BudgetExceeded:
-                    rows.append(_skip("rho-recursion", stmt_rr, params,
-                                      "structure count exceeds work budget"))
-                    rows.append(_skip("ramsey-recursion", stmt_nr, params,
-                                      "structure count exceeds work budget"))
-                    continue
-                p_num, p_den = r1 + 1, r0 + 1
-                ok_rho = _int_vs_pow2_frac(r2, p_num, p_den)
-                ok_n = _int_vs_pow2_frac(r2 + 1, p_num, p_den)
-                rhs = f"2^({p_num}/{p_den})"
-                rows.append(
-                    _row("rho-recursion", stmt_rr, params,
-                         _fmt_int(r2), rhs, _verdict(ok_rho))
-                )
-                rows.append(
-                    _row("ramsey-recursion", stmt_nr, params,
-                         _fmt_int(r2 + 1), rhs, _verdict(ok_n))
-                )
-
-    # N_k(q,n) <= t_{k-2}(N_3(q,n))
-    stmt_tt = "N_k(q,n) <= t_{k-2}(N_3(q,n))"
-    for k in range(4, k_max + 1):
-        for q in range(1, d_max + 1):
-            for n in range(1, n_max + 1):
-                params = {"k": k, "q": q, "n": n}
-                try:
-                    nk = rho(k, q, n) + 1
-                    n3 = pc(q - 1, n) + 1
-                except BudgetExceeded:
-                    rows.append(_skip("tower-transform", stmt_tt, params,
-                                      "structure count exceeds work budget"))
-                    continue
-                rhs_tower = TowerScalar(k - 2, Fraction(n3))
-                cmp = tower_compare(nk, rhs_tower)
-                ok = None if cmp == "undecided" else cmp in ("lt", "eq")
-                rows.append(
-                    _row("tower-transform", stmt_tt, params,
-                         _fmt_int(nk), str(rhs_tower), _verdict(ok))
-                )
-
-    # N_k(q,n) <= N_{k-2}(N_3(q,n)-1, 2)
-    stmt_st = "N_k(q,n) <= N_{k-2}(N_3(q,n)-1, 2)"
-    for k in range(4, min(k_max, 5) + 1):
-        for q in range(1, d_max + 1):
-            for n in range(1, n_max + 1):
-                params = {"k": k, "q": q, "n": n}
-                try:
-                    nk = rho(k, q, n) + 1
-                    n3 = pc(q - 1, n) + 1
-                except BudgetExceeded:
-                    rows.append(_skip("ramsey-step-upper", stmt_st, params,
-                                      "structure count exceeds work budget"))
-                    continue
-                colors = n3 - 1
-                if k == 4:
-                    # N_2(c, 2) = 2^c + 1
-                    if colors > _MAX_BITS:
-                        rows.append(_skip("ramsey-step-upper", stmt_st, params,
-                                          "right side exponent too large"))
-                        continue
-                    ok = nk <= (1 << colors) + 1
-                    rhs = _fmt_int((1 << colors) + 1)
-                else:
-                    # N_3(c, 2) = P_{c-1}(2) + 1: a (c-1)-dimensional count
-                    if colors - 1 > 6:
-                        rows.append(_skip(
-                            "ramsey-step-upper", stmt_st, params,
-                            f"right side needs P_{colors - 1}(2), "
-                            "not desk-computable"))
-                        continue
-                    try:
-                        rhs_val = pc(colors - 1, 2) + 1
-                    except BudgetExceeded:
-                        rows.append(_skip("ramsey-step-upper", stmt_st, params,
-                                          "right side exceeds work budget"))
-                        continue
-                    ok = nk <= rhs_val
-                    rhs = _fmt_int(rhs_val)
-                rows.append(
-                    _row("ramsey-step-upper", stmt_st, params,
-                         _fmt_int(nk), rhs, _verdict(ok))
-                )
-
-    # t_k(a) - t_k(b) >= t_k(a - 2^-(k-2)) for a >= max(b+1, 3)
-    stmt_td = "t_k(a) - t_k(b) >= t_k(a - 2^-(k-2)) for a >= max(b+1, 3), b > 0"
-    td_grid = [
-        (Fraction(3), Fraction(2)),
-        (Fraction(4), Fraction(3)),
-        (Fraction(4), Fraction(2)),
-        (Fraction(7, 2), Fraction(2)),
-        (Fraction(9, 2), Fraction(3)),
-        (Fraction(10, 3), Fraction(11, 6)),
-    ]
-    for k in range(2, min(k_max, 4) + 1):
-        for a, b in td_grid:
-            params = {"k": k, "a": _fmt_fraction(a), "b": _fmt_fraction(b)}
-            c = a - Fraction(1, 1 << (k - 2))
-            ok = _tower_difference_holds(k, a, b, c)
-            rows.append(
-                _row(
-                    "tower-difference",
-                    stmt_td,
-                    params,
-                    f"t_{k}({_fmt_fraction(a)}) - t_{k}({_fmt_fraction(b)})",
-                    f"t_{k}({_fmt_fraction(c)})",
-                    _verdict(ok),
-                )
-            )
-
-    # asymptotic rate of the 3-color refinement: reported, never judged
-    stmt_rate = "log2(N_3(3,n)-1)/n^2 -> (3/2) log2(27/16) as n grows"
-    limit = 1.5 * log2(27 / 16)
-    for n in range(1, n_max + 1):
+    def rate(n):
         try:
             p2 = pc(2, n)
-        except BudgetExceeded:
-            continue
-        rate = log2(p2) / n**2
-        rows.append(
-            _row(
-                "three-color-rate",
-                stmt_rate,
-                {"n": n},
-                f"{rate:.4f}",
-                f"{limit:.4f}",
-                "INFO",
-                note="asymptotic: rate computed, not falsifiable at desk scale",
-            )
-        )
+        except BudgetExceeded:  # a rate is reported, never judged: no row
+            return []
+        return [dict(lhs=f"{log2(p2) / n**2:.4f}", rhs=f"{1.5 * log2(27 / 16):.4f}",
+                     verdict="INFO",
+                     note="asymptotic: rate computed, not falsifiable at desk scale")]
 
-    # middle-layer constant: 2/3 proven, sqrt(6/pi) conjectured for large d
-    stmt_c = "effective constant M sqrt(d)/n^(d-1) vs 2/3 and sqrt(6/pi)"
-    for d in range(2, d_max + 1):
-        m_val = mid(n_max, d)
-        c_eff = m_val * d**0.5 / n_max ** (d - 1)
-        rows.append(
-            _row(
-                "middle-layer-constant",
-                stmt_c,
-                {"d": d, "n": n_max},
-                f"{c_eff:.4f}",
-                f"2/3 ~ 0.6667, sqrt(6/pi) ~ {(6 / 3.141592653589793)**0.5:.4f}",
-                "INFO",
-                note="no finite threshold for the improved constant; both reported",
-            )
-        )
+    def middle_constant(d, n):
+        m = mid(n, d)  # 2/3 proven, sqrt(6/pi) conjectured for large d
+        return [dict(lhs=f"{m * d**0.5 / n ** (d - 1):.4f}",
+                     rhs=f"2/3 ~ 0.6667, sqrt(6/pi) ~ {(6 / 3.141592653589793)**0.5:.4f}",
+                     verdict="INFO",
+                     note="no finite threshold for the improved constant; both reported")]
 
+    ds, d2s, ns = range(1, d_max + 1), range(2, d_max + 1), range(1, n_max + 1)
+    ks = range(4, k_max + 1)
+    by_partitions = "partition count exceeds work budget"
+    by_structures = "structure count exceeds work budget"
+    checks = [
+        ([("middle-rank-lower", "max_k S_n(k,d) >= (2/3) n^(d-1)/sqrt(d)")],
+         _grid(d=d2s, n=ns), middle_rank, None),
+        ([("downsets-exceed-middle-layer", "P_{d-1}(n) >= 2^(max_k S_n(k,d))")],
+         _grid(d=d2s, n=ns), downsets, by_partitions),
+        ([("crude-upper", "P_d(n) <= binom(2n,n)^(n^(d-1))")],
+         _grid(d=ds, n=ns), crude_upper, by_partitions),
+        ([("partition-count-lower", "P_d(n) >= 2^((2/3) n^d / sqrt(d+1))")],
+         _grid(d=ds, n=ns), partition_lower, by_partitions),
+        ([("ramsey3-sandwich", "2^((2/3) n^(q-1)/sqrt(q)) <= N_3(q,n) <= 2^(2 n^(q-1))")],
+         _grid(q=d2s, n=ns), sandwich, by_partitions),
+        ([("rho-recursion", "rho_k(n) >= 2^((rho_{k-1}(n)+1)/(rho_{k-2}(n)+1))"),
+          ("ramsey-recursion", "N_k(q,n) >= 2^(N_{k-1}(q,n)/N_{k-2}(q,n))")],
+         _grid(k=ks, d=ds, n=ns), recursion, by_structures),
+        ([("tower-transform", "N_k(q,n) <= t_{k-2}(N_3(q,n))")],
+         _grid(k=ks, q=ds, n=ns), tower_transform, by_structures),
+        ([("ramsey-step-upper", "N_k(q,n) <= N_{k-2}(N_3(q,n)-1, 2)")],
+         _grid(k=range(4, min(k_max, 5) + 1), q=ds, n=ns), step_upper, by_structures),
+        ([("tower-difference",
+           "t_k(a) - t_k(b) >= t_k(a - 2^-(k-2)) for a >= max(b+1, 3), b > 0")],
+         [{"k": k, "a": a, "b": b} for k in range(2, min(k_max, 4) + 1)
+          for a, b in _TOWER_DIFFERENCE_TOPS], tower_difference, None),
+        ([("three-color-rate", "log2(N_3(3,n)-1)/n^2 -> (3/2) log2(27/16) as n grows")],
+         _grid(n=ns), rate, None),
+        ([("middle-layer-constant", "effective constant M sqrt(d)/n^(d-1) vs 2/3 and sqrt(6/pi)")],
+         _grid(d=d2s, n=[n_max]), middle_constant, None),
+    ]
+
+    rows: list[dict] = []
+    for pairs, grid, rule, miss in checks:
+        for params in grid:
+            try:
+                sides = rule(**params)
+            except BudgetExceeded:
+                if miss is None:
+                    raise
+                sides = [dict(lhs=None, rhs=None, verdict="SKIPPED", note=miss)] * len(pairs)
+            except _Skip as skip:
+                sides = [dict(lhs=None, rhs=None, verdict="SKIPPED", note=str(skip))]
+            rows += ({"name": name, "statement": statement, "params": params, **side}
+                     for (name, statement), side in zip(pairs, sides))
     return rows
 
 

@@ -242,12 +242,13 @@ def _cmd_search(args: argparse.Namespace, budget: int) -> int:
 
 
 def _cmd_bounds(args: argparse.Namespace, budget: int) -> int:
-    rows = run_inequality_suite(
-        d_max=args.d_max or 4,
-        n_max=args.n_max or 4,
-        k_max=args.k_max or 5,
-        budget=budget,
-    )
+    # a flag not given keeps the suite's own default
+    sizes = {key: v for key in ("d_max", "n_max", "k_max")
+             if (v := getattr(args, key)) is not None}
+    for key, v in sizes.items():
+        if v < 1:
+            raise ValueError(f"--{key.replace('_', '-')} must be at least 1, got {v}")
+    rows = run_inequality_suite(**sizes, budget=budget)
     failures = sum(1 for r in rows if r["verdict"] == "FAIL")
     if args.fmt == "table":
         print(render_rows(rows))

@@ -161,13 +161,20 @@ def count_box_partitions(
 
 def _frontier_dp(shape: tuple[int, ...], bound: int, wm: WorkMeter) -> int:
     """The kernel of ``count_box_partitions`` for a non-empty shape."""
+    window = box_size(shape[1:])
+    per_state = (bound + 1) * (window + 1)  # the most units one state bills
+    if wm.limit - wm.used < per_state:
+        # index 0's one state bills more than the room holds: bill it unit
+        # by unit, as the loop below would, so the miss raises before the
+        # suffix products of up to d - 1 sides are formed
+        for _ in range(bound + 1):
+            wm.charge()
+            wm.charge(window)
     m = len(shape)
     strides = list(accumulate(reversed(shape[1:]), mul, initial=1))[::-1]
-    window = strides[0]
     bits = max(1, bound.bit_length())
     mask = (1 << bits) - 1
     full = -1  # no value drops out of the window until it has filled
-    per_state = (bound + 1) * (window + 1)  # the most units one state bills
     used = wm.used
     states: dict[int, int] = {0: 1}
     # the cells in lexicographic order, by index: ``product`` of the axis

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from monopath import bounds
 from monopath.bounds import (
     TowerScalar,
     render_rows,
@@ -109,6 +110,10 @@ def test_suite_has_expected_families():
         "ramsey-recursion",
         "tower-transform",
         "tower-difference",
+        "partition-count-lower",
+        "ramsey-step-upper",
+        "three-color-rate",
+        "middle-layer-constant",
     ]:
         assert fam in names, fam
 
@@ -131,6 +136,27 @@ def test_tight_budget_degrades_to_skips_not_failures():
     assert rows
     assert all(r["verdict"] != "FAIL" for r in rows)
     assert any(r["verdict"] == "SKIPPED" for r in rows)
+
+
+def test_suite_spends_at_most_twice_its_budget(monkeypatch):
+    # once the pot was spent every cell still got total // 200 units, so the
+    # work grew with the grid: these 1176 cells spent 8 times the budget
+    spent = []
+
+    def metered(count):
+        def run(*args, budget):
+            try:
+                return count(*args, budget=budget)
+            finally:
+                spent.append(min(budget.used, budget.limit + 1))
+        return run
+
+    for name in ("count_box_partitions", "count_rho", "middle_max"):
+        monkeypatch.setattr(bounds, name, metered(getattr(bounds, name)))
+    total = 1000
+    rows = run_inequality_suite(d_max=2, n_max=2, k_max=300, budget=total)
+    assert rows and spent
+    assert sum(spent) <= 2 * total + total // 8 + 1
 
 
 def test_render_rows_layout():

@@ -9,6 +9,7 @@ from math import comb
 
 import pytest
 
+from monopath.budget import ENV_BUDGET
 from monopath.cli import build_parser, main
 
 
@@ -172,6 +173,15 @@ def test_bounds_table(capsys):
     assert code == 0
     assert out.splitlines()[0].split()[0] == "name"
     assert out.rstrip().splitlines()[-1].startswith("#")
+
+
+@pytest.mark.parametrize("flag", ["--d-max", "--n-max", "--k-max"])
+def test_bounds_rejects_grid_sizes_below_one(capsys, flag):
+    # a 0 once counted as "not given" and ran the default 4/4/5 grid
+    argv = {"--d-max": "1", "--n-max": "1", "--k-max": "1", flag: "0"}
+    assert main(["bounds", *(x for kv in argv.items() for x in kv)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flag in err
 
 
 def test_global_flags_both_positions(capsys):
@@ -412,6 +422,20 @@ def test_partitions_with_many_axes_end_on_budget(capsys):
     assert capsys.readouterr().err.startswith("budget exhausted: partition count in shape [3]^19999")
 
 
+@pytest.mark.parametrize("argv", [
+    "count --kind rho --k 3 --d 200000 --n 3",
+    "count --kind partitions --d 200000 --n 3",
+])
+def test_partitions_past_the_room_end_before_their_strides(capsys, argv):
+    # the suffix products of 199998 sides took 6.9 s before the first unit
+    t0 = time.perf_counter()
+    assert main(argv.split() + ["--budget", "10"]) == 3
+    assert time.perf_counter() - t0 < 0.5
+    assert capsys.readouterr().err == (
+        "budget exhausted: partition count in shape [3]^199999 bound 3: "
+        "exceeded work budget of 10 units\n")
+
+
 @pytest.mark.parametrize("argv,shape", [
     ("count --kind partitions --d 20000 --n 3", "[3]^19999 bound 3"),
     ("count --kind dedekind --d 5000", "[2]^4999 bound 2"),
@@ -563,3 +587,34 @@ def test_construct_files_keep_their_bytes(flags, digest, tmp_path, capsys):
     assert main(["construct", "--family", *flags.split(), "--out", str(path)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+# sha256 of the ``bounds`` report for each grid, kept from the suite's
+# hand-written loops before it became one table of checks: the rows, their
+# order and the counts skipped under a budget must not change with the code
+# that runs them.  The four count-mix suites, two suites with skipped rows
+# and one table.
+BOUNDS_DIGESTS = [
+    ("--d-max 2 --n-max 2 --k-max 2",
+     "9c9eefd6ac43cd2f7138c8623876d0110f22617dda5640e61746519318991f2d"),
+    ("--d-max 3 --n-max 3 --k-max 2",
+     "56f5da199f7ff509b64920957f753243d61a23dd871e49d4d80cf44fa3531e8d"),
+    ("--d-max 4 --n-max 3 --k-max 2 --budget 1000000",
+     "650a78ee7cdaaaffa4eda6358c664aa7e82ec7ef5dc45684125e8cfe6f92f0ca"),
+    ("--d-max 4 --n-max 4 --k-max 2 --budget 2000000",
+     "31a38c85df3c3484f7026719610068a7b554ffb6acd92527e18c3db36c39e7f6"),
+    ("--d-max 3 --n-max 3 --k-max 5 --budget 20000",
+     "ac86fe8de5ba8bd3f0f41d6b8a07daccf1404d5de18eb42d8192718fbf521bbb"),
+    ("--d-max 2 --n-max 2 --k-max 6 --budget 100",
+     "da87bc1209acab1e9cb70af39ca59f654546cde3de572f7e2d347ba7359ecac7"),
+    ("--d-max 3 --n-max 3 --k-max 4 --budget 200000 --format table",
+     "cf9525a52f4dfb7559898f890d776f2cf0afaf8a157643b99587e762910d8f64"),
+]
+
+
+@pytest.mark.parametrize("flags,digest", BOUNDS_DIGESTS, ids=[f for f, _ in BOUNDS_DIGESTS])
+def test_bounds_reports_keep_their_bytes(flags, digest, capsys, monkeypatch):
+    monkeypatch.delenv(ENV_BUDGET, raising=False)
+    code, out = run(capsys, "bounds", *flags.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
