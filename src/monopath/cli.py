@@ -160,7 +160,9 @@ def _cmd_construct(args: argparse.Namespace, budget: int) -> int:
     elif family == "kuniform":
         if args.k is None or args.n is None:
             raise ValueError("construct --family kuniform needs --k and --n")
-        col = color_kuniform_lower(args.k, args.n, args.d or 2, budget=budget)
+        # a --d not given keeps the build's own default
+        d = () if args.d is None else (args.d,)
+        col = color_kuniform_lower(args.k, args.n, *d, budget=budget)
     elif family == "random":
         if None in (args.k, args.q, args.N):
             raise ValueError("construct --family random needs --k, --q and --N")
@@ -221,7 +223,7 @@ def _cmd_transitive(args: argparse.Namespace, budget: int) -> int:
 
 def _cmd_search(args: argparse.Namespace, budget: int) -> int:
     sb = SearchBudget(
-        max_nodes=args.max_nodes or budget,
+        max_nodes=budget if args.max_nodes is None else args.max_nodes,
         max_seconds=args.max_seconds,
     )
     res: RamseyResult = exact_ramsey(args.k, args.q, args.n, args.max_N, sb)

@@ -333,9 +333,9 @@ def count_rho(k: int, d: int, n: int, *, budget=None) -> int:
     room = wm.limit - wm.used
     if d * (n.bit_length() - 1) >= room.bit_length():
         wm.prepay(room + 1)
-    parent = build_universe(k - 1, (n,) * d, budget=wm, scan=wm)
+    parent = build_universe(k - 1, (n,) * d, budget=wm)
     return count_order_ideals(
-        parent.pred_masks(),
+        parent.pred_masks(wm),
         budget=wm,
         label=f"order ideals of order-{k - 1} universe (d={d}, n={n})",
     )

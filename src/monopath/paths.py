@@ -43,9 +43,11 @@ ending with one order-k structure per vertex.  These vertex labels are
 pairwise distinct, which certifies the bound on N; a collision would
 contradict the DP, and the extraction walk turns it into a path longer
 than the DP's own maximum, rebuilt by the walk back that gives the
-witnesses.  The label tables are lists indexed by colex rank: in colex
-order the tuples (x,) + t, x < t[0], of one t are consecutive, and over all
-t in turn they are the whole level above, so each label is one OR over the
+witnesses.  No universe is built: a label is stored as the set of the
+labels one size up that occur in this coloring and lie under it.  The
+label tables are lists indexed by colex rank: in colex order the
+tuples (x,) + t, x < t[0], of one t are consecutive, and over all t in
+turn they are the whole level above, so each label is one OR over the
 next run.
 """
 
@@ -60,7 +62,7 @@ from operator import or_
 from .budget import meter
 from .colorings import EdgeColoring
 from .subsets import colex_rank, colex_unrank, colex_walk, window_runs
-from .universes import Universe, build_universe
+from .universes import _masks_below, _points_below
 
 
 @dataclass(frozen=True)
@@ -252,10 +254,9 @@ def _grid_point(index: int, n: int, q: int) -> tuple[int, ...]:
 
 
 def _label_levels(
-    coloring: EdgeColoring, n: int, r: int, budget: int | None, forward: list
+    coloring: EdgeColoring, n: int, budget: int | None, forward: list
 ) -> dict[int, list]:
-    """Down-set label tables for tuple sizes r..k-1 (1 <= r <= k-1), keyed by
-    size, as lists.
+    """Down-set label tables for tuple sizes 1..k-1, keyed by size, as lists.
 
     ``forward`` holds the L_c tables of a ``longest_mono`` scan of this
     coloring whose maxima all stay below n.  They are billed as the sweep
@@ -264,20 +265,24 @@ def _label_levels(
     sweep would.
 
     Size k-1 holds, per window rank, the index of its label vector in the
-    grid [n]^q; the grid universe sorts points lexicographically, so that is
-    the mixed-radix number with digits L_1(w), ..., L_q(w).  Size j < k-1
-    holds the labels of the j-subsets t of range(1, N), in colex order:
-    bitmasks over the next universe down (size j labels live in the
-    order-(k-j+1) universe, stored as masks over the order-(k-j) one).  A
-    tuple that starts at vertex 0 has the empty label 0 and is not stored.
+    grid [n]^q in lexicographic order: the mixed-radix number with digits
+    L_1(w), ..., L_q(w).  Size j < k-1 holds the labels of the j-subsets t
+    of range(1, N), in colex order, as bitmasks over the distinct labels
+    that occur one size up, sorted ascending (bit i for the i-th smallest).
+    Below the grid those include the empty label 0 of the tuples that start
+    at vertex 0, which are not stored but are generators too.
 
-    The label of t is the union of the principal ideals of the labels of
-    (x,) + t, x < t[0], and in colex order those tuples, over all t in
-    turn, are the level above, one run of t[0] after another (t[0] - 1 when
-    the level above leaves out the tuples at vertex 0).  Units: one per
-    (x, t) pair, C(N, j + 1) for size j, paid before the level is built, so
-    every stored label is paid for, and the containment masks of the
-    universe the size-r labels are masks over.
+    The label of t is the set of those labels that lie under the label of
+    some (x,) + t, x < t[0], the union of their principal masks; one mask
+    contains another exactly when the down-sets they stand for do.  In colex
+    order those tuples, over all t in turn, are the level above, one run of
+    t[0] after another (t[0] - 1 when the level above leaves out the tuples
+    at vertex 0).  Ascending grid ranks and masks extend containment, the
+    order ``_points_below`` and ``_masks_below`` need.
+
+    Units: per size j, U(U + 1)/2 for the containment pairs of the U labels
+    one size up, and one per (x, t) pair, C(N, j + 1), paid before the level
+    is built, so every stored label is paid for.
     """
     k, q, big = coloring.k, coloring.q, coloring.N
     wm = meter(budget, f"label vectors on {coloring.num_edges} edges")
@@ -287,29 +292,26 @@ def _label_levels(
     for tab in forward[2:]:
         grid = [g * n + v for g, v in zip(grid, tab)]
     levels: dict[int, list] = {k - 1: grid}
-    if r == k - 1:
-        return levels
     wm = meter(budget, "down-set label recursion")
-    # size j labels are masks over the order-(k-j) universe: orders 2..k-r
-    lowers: list[Universe] = []
-    u = build_universe(k - r, (n,) * q, budget=budget, scan=wm)
-    while u is not None:
-        lowers.insert(0, u)
-        u = u.parent
     upper = grid
-    for j, lower in zip(range(k - 2, r - 1, -1), lowers):
-        pmask = lower.principal_masks()
-        wm.prepay(comb(big, j + 1))
+    for j in range(k - 2, 0, -1):
+        at_grid = j == k - 2
+        below = sorted(set(upper) if at_grid else {0, *upper})
+        wm.prepay(len(below) * (len(below) + 1) // 2 + comb(big, j + 1))
+        if at_grid:
+            pred = _points_below([_grid_point(g, n, q) for g in below])
+        else:
+            pred = _masks_below(below)
+        ideal = {u: pm | 1 << i for i, (u, pm) in enumerate(zip(below, pred))}
+        # below the grid the tuples at vertex 0 are not stored: each run
+        # starts from the empty label's ideal instead
+        unstored, empty = (0, 0) if at_grid else (1, ideal[0])
         rest = iter(upper)
         # t = b + 1 for the j-subsets b of range(N - 1), so t[0] = b[0] + 1
         firsts = (b[0] + 1 for b in colex_walk(big - 1, j))
-        if j == k - 2:  # grid indices are universe indices
-            lev = [reduce(or_, map(pmask.__getitem__, islice(rest, x))) for x in firsts]
-        else:
-            ideal = dict(zip(lower.elements, pmask))
-            empty = ideal[0]
-            lev = [reduce(or_, map(ideal.__getitem__, islice(rest, x - 1)), empty) for x in firsts]
-        levels[j] = upper = lev
+        levels[j] = upper = [
+            reduce(or_, map(ideal.__getitem__, islice(rest, x - unstored)), empty) for x in firsts
+        ]
     return levels
 
 
@@ -398,7 +400,7 @@ def injectivity_certificate(
     for c in sorted(scan.per_color_max):
         if scan.per_color_max[c] >= n:
             return Certificate(status="path", path=scan.witnesses[c], scan=scan)
-    levels = _label_levels(coloring, n, 1, budget, scan.forward)
+    levels = _label_levels(coloring, n, budget, scan.forward)
     # vertex v's label; at k >= 3 vertex 0 has the empty one, left unstored
     labels = levels[1] if coloring.k == 2 else [0] + levels[1]
     seen: dict = {}

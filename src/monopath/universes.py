@@ -29,7 +29,7 @@ from itertools import product
 from math import comb
 from operator import and_, or_
 
-from .budget import WorkMeter, meter
+from .budget import meter
 from .counting import box_size, box_text, enumerate_order_ideals
 
 
@@ -78,11 +78,6 @@ class Universe:
             self._pred_masks = _points_below(els) if self.k == 2 else _masks_below(els)
         return self._pred_masks
 
-    def principal_masks(self) -> list[int]:
-        """For each element, the mask of all elements contained in it (itself
-        included), from ``pred_masks``, which a metered caller builds first."""
-        return [pm | (1 << i) for i, pm in enumerate(self.pred_masks())]
-
     def element_json(self, el):
         """A point as a coordinate list, a mask as its sorted parent-index list."""
         return list(el) if self.k == 2 else list(_bits(el))
@@ -127,18 +122,15 @@ def _masks_below(masks) -> list[int]:
             for i, m in enumerate(masks)]
 
 
-def build_universe(
-    k: int, box: tuple[int, ...], *, budget: int | None = None, scan: WorkMeter | None = None
-) -> Universe:
+def build_universe(k: int, box: tuple[int, ...], *, budget: int | None = None) -> Universe:
     """Materialize the chain of universes up to order k over the box with
     sides ``box`` and return the top one; [n]^d is the box ``(n,) * d``.
 
     Each universe below the top pays for its containment masks, which the
-    ideals of the next order are enumerated from; the meter ``scan``, when
-    given, pays for the top universe's masks too, and they are built with
-    it.  The grid's masks are paid before its points are built, so a
-    budget that cannot pay for them stops the build before the grid takes
-    any memory.
+    ideals of the next order are enumerated from; a caller that needs the
+    top one's masks pays for them through ``pred_masks``.  The grid's masks
+    are paid before its points are built, so a budget that cannot pay for
+    them stops the build before the grid takes any memory.
     """
     if k < 2:
         raise ValueError("order must be >= 2")
@@ -148,12 +140,11 @@ def build_universe(
     wm = meter(budget, f"universe of order {k} over {box_text(box)}")
     points = box_size(box)
     wm.charge(points)
-    grid_payer = wm if k > 2 else scan
-    if grid_payer is not None:
-        grid_payer.prepay(comb(points + 1, 2))
+    if k > 2:
+        wm.prepay(comb(points + 1, 2))
     # a product of ascending ranges lists the points in lexicographic order
     uni = Universe(2, product(*(range(1, side + 1) for side in box)))
-    if grid_payer is not None:
+    if k > 2:
         uni.pred_masks()  # paid above
     for order in range(3, k + 1):
         ideals = enumerate_order_ideals(uni.pred_masks(wm), wm)
@@ -165,6 +156,4 @@ def build_universe(
             keyed.append((int(f"{m:0{width}b}"[::-1], 2), m))
         keyed.sort()
         uni = Universe(order, [m for _, m in keyed], parent=uni)
-    if scan is not None:
-        uni.pred_masks(scan)
     return uni

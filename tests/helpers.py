@@ -13,8 +13,13 @@ keyed by window tuples, for the flat window-rank sweeps in
 :mod:`monopath.paths`; and ``dict_label_vectors`` with
 ``dict_downset_labels``, the label recursion over dicts keyed by tuples,
 for the label tables of :mod:`monopath.paths`, indexed by colex rank and
-read off the forward tables of a path scan.  The extremal colorings have
-references too, for the builds in :mod:`monopath.colorings` that reduce
+read off the forward tables of a path scan.  The reference's labels are
+masks over whole universes and the engine's are masks over the labels that
+occur one size up, so the two agree on which labels are equal or contain
+one another, not bit for bit.  ``label_order_by_recursion`` decides that
+containment from its definition alone, for colorings whose universes no
+budget builds.  The extremal colorings have references too, for the
+builds in :mod:`monopath.colorings` that reduce
 the chains of all edges together, one level table at a time: ``delta_chain_colors`` reduces every edge's delta
 chain on its own, and ``first_difference_colors`` compares first
 differences edge by edge; ``level_step_colors`` takes one level step of
@@ -31,6 +36,7 @@ from __future__ import annotations
 
 import json
 from array import array
+from functools import cache
 from itertools import combinations, product
 from math import comb, prod
 
@@ -311,9 +317,11 @@ def dict_label_vectors(coloring, wm) -> dict:
 
 def dict_downset_labels(coloring, n: int, r: int, budget) -> dict:
     """The labels of all r-tuples, for an n that no color's longest path
-    reaches, by the recursion over dicts keyed by tuples, with the meters of
-    ``_label_levels``: one unit per (x, t) pair, one at a time, after the
-    containment masks of the universe one level down."""
+    reaches, by the recursion over dicts keyed by tuples, as masks over the
+    universe one level down.  On the stage meters of ``_label_levels``: one
+    unit per (x, t) pair, one at a time, after the universes and the
+    containment masks of the one below; ``_label_levels``, which compares
+    only the labels that occur, pays at most that."""
     k, q, big = coloring.k, coloring.q, coloring.N
     wm = meter(budget, f"label vectors on {coloring.num_edges} edges")
     upper = dict_label_vectors(coloring, wm)
@@ -338,6 +346,27 @@ def dict_downset_labels(coloring, n: int, r: int, budget) -> dict:
             level[t] = acc
         upper = level
     return {t: upper.get(t, 0) for t in combinations(range(big), r)}
+
+
+def label_order_by_recursion(coloring):
+    """``within(s, t)``: whether the down-set label of tuple s lies within
+    that of tuple t, for tuples of one size, from the definition alone.
+
+    At size k - 1 the label vectors compare coordinatewise.  Below that,
+    every label of (x,) + s, x < s[0], must lie under one of (y,) + t,
+    y < t[0], so a tuple at vertex 0, with no such label, lies within every
+    other and contains no other.  No masks and no universes; memoized per
+    pair of tuples, unmetered."""
+    k = coloring.k
+    vectors = dict_label_vectors(coloring, meter(10**9, "label vectors"))
+
+    @cache
+    def within(s, t):
+        if len(s) == k - 1:
+            return all(a <= b for a, b in zip(vectors[s], vectors[t]))
+        return all(any(within((x,) + s, (y,) + t) for y in range(t[0])) for x in range(s[0]))
+
+    return within
 
 
 def dict_pred_path(coloring, t: tuple[int, ...]) -> tuple[int, ...]:

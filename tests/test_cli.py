@@ -355,17 +355,60 @@ def test_verify_wide_k_pays_for_its_windows(tmp_path, capsys):
 
 def test_verify_pays_for_containment_masks(tmp_path, capsys):
     # 3 vertices, 11 colors: the labels live in the grid [3]^11, whose
-    # 177147 points would be compared pairwise, 1.6*10^10 units
+    # 177147 points would be compared pairwise, 1.6*10^10 units; only the
+    # labels that occur are compared, and the same budget certifies the file
     path = str(tmp_path / "c.json")
     argv = ["construct", "--family", "random", "--k", "3", "--q", "11", "--N", "3",
             "--out", path]
     assert main(argv) == 0
     capsys.readouterr()
     t0 = time.perf_counter()
-    assert main(["verify", "--file", path, "--n", "3", "--budget", "1000000"]) == 3
-    assert time.perf_counter() - t0 < 3.0
-    assert capsys.readouterr().err == (
-        "budget exhausted: down-set label recursion: exceeded work budget of 1000000 units\n")
+    code, rep = run_json(capsys, "verify", "--file", path, "--n", "3", "--budget", "1000000")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 0 and rep["certificate"] == "distinct"
+
+
+@pytest.mark.parametrize("seed", [2, 3, 4])
+def test_verify_certifies_past_the_universe_it_would_build(tmp_path, capsys, seed):
+    # path-free at n = 3, with labels in the order-4 universe over [3]^3,
+    # which no budget of a few hundred seconds built
+    path = str(tmp_path / "c.json")
+    argv = ["construct", "--family", "random", "--k", "5", "--q", "3", "--N", "8",
+            "--seed", str(seed), "--out", path]
+    assert main(argv) == 0
+    capsys.readouterr()
+    code, rep = run_json(capsys, "verify", "--file", path, "--n", "3", "--budget", "1000000")
+    assert code == 0 and rep["certificate"] == "distinct"
+
+
+def test_verify_extremal_file_far_below_its_n(tmp_path, capsys):
+    # the 3-uniform extremal file for n = 3 has no path of length 100 either;
+    # its labels would live in the grid [100]^2, 10^4 points compared pairwise
+    path = str(tmp_path / "c.json")
+    assert main(["construct", "--family", "3uniform", "--q", "2", "--n", "3",
+                 "--out", path]) == 0
+    capsys.readouterr()
+    code, rep = run_json(capsys, "verify", "--file", path, "--n", "100")
+    assert code == 0 and rep["certificate"] == "distinct"
+
+
+def test_search_max_nodes_zero_is_rejected(capsys):
+    # a 0 once counted as "not given" and searched at the default budget
+    for nodes in ("0", "-5"):
+        assert main(["search", "--k", "3", "--q", "2", "--n", "2", "--max-nodes", nodes]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_construct_kuniform_d_zero_is_rejected(tmp_path, capsys):
+    # a 0 once counted as "not given" and wrote a 2-color file
+    path = tmp_path / "c.json"
+    assert main(["construct", "--family", "kuniform", "--k", "3", "--n", "2", "--d", "0",
+                 "--out", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not path.exists()
+    code, doc = run_json(capsys, "construct", "--family", "kuniform", "--k", "3", "--n", "2",
+                         "--out", str(path))
+    assert code == 0 and doc["q"] == 2
 
 
 def test_rho_order_2_pays_before_its_power(capsys):

@@ -108,7 +108,8 @@ COMMANDS = st.one_of(
     _command(_word("construct --family 3uniform"), _rect_bounds(),
              st.just(["--out", f"{TMP}/c.json"])),
     _command(st.just(["verify"]), st.sampled_from(FILES).map(lambda f: ["--file", f]),
-             _ints(0, 5).map(lambda n: ["--n", str(n)])),
+             st.one_of(_ints(0, 5), st.sampled_from([50, 10**6])).map(
+                 lambda n: ["--n", str(n)])),
     _command(st.just(["transitive"]), st.sampled_from(FILES).map(lambda f: ["--file", f])),
     _command(st.just(["search"]), _ints(2, 6).map(lambda k: ["--k", str(k)]),
              _ints(1, 3).map(lambda q: ["--q", str(q)]),

