@@ -6,10 +6,11 @@ k-windows are all edges; length counts edges.  The colorings built here are
 the extremal certificates for the lower bounds on the associated Ramsey
 numbers, and all of them come from one rule.  The vertices are the order-k
 structures over a box, in the universe order of :mod:`monopath.universes`,
-which extends containment.  An edge's k structures are reduced by delta,
-pair by pair, k - 2 times; that leaves two grid points x and y with x not
-containing y, and the edge gets the first coordinate where x is below y.
-The three families are its cases:
+which extends containment, from the grid's points, masks over the box's
+coordinate thresholds, up.  An edge's k structures are reduced by delta,
+pair by pair, k - 1 times; that leaves one threshold, of the first
+coordinate where the last two grid points rise, and that coordinate is the
+edge's color.  The three families are its cases:
 
 * ``color_graph_lower``, k = 2 over [n]^q: the points in lexicographic
   order, an edge colored by the first coordinate where its ends differ.
@@ -29,13 +30,14 @@ comma-separated digits of the compact JSON text (see ``EdgeColoring.save``
 and ``EdgeColoring.load``).
 
 No build follows an edge on its own.  ``_iterated_delta`` tabulates delta
-at every universe level, and the first rising coordinate of grid points,
-then reduces the chains of all edges together, one level table per vertex
-count: what the chains of the j-subsets reduce to, in colex order.  In
-that order the (j+1)-subsets with one back b take their fronts from one
-block of the j-subset table, the block list of :mod:`monopath.subsets`,
-so a block of the next table is one ``bytes.translate`` of a block of
-this one.  The last level table is the colors.  The universe and the
+at every universe level from the top down to the grid, then reduces the
+chains of all edges together, one level table per vertex count: what the
+chains of the j-subsets reduce to, in colex order.  In that order the
+(j+1)-subsets with one back b take their fronts from one block of the
+j-subset table, the block list of :mod:`monopath.subsets`, so a block of
+the next table is one ``bytes.translate`` of a block of this one.  The
+last level table holds a threshold per edge, and one more translate to
+their coordinates gives the colors.  The universe and the
 colors are paid on one meter: units pay for the edges, every level table
 entry and every delta table cell, all before they are built, so no table
 grows faster than the budget.
@@ -52,7 +54,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, combinations
 from math import comb, prod
-from operator import ne, xor
+from operator import xor
 
 from .budget import meter
 from .counting import box_size, box_text
@@ -299,8 +301,11 @@ def color_graph_lower(q: int, n: int, *, budget: int | None = None) -> EdgeColor
     _fit_colors(q)
     wm = meter(budget, f"graph coloring over [{n}]^{q}")
     uni, colors = _iterated_delta(2, (n,) * q, wm)
-    return EdgeColoring(k=2, q=q, N=uni.size, colors=colors,
-                        labels=[list(v) for v in uni.elements],
+    # point p holds p_i - 1 thresholds of coordinate i
+    coords = uni.parent.elements
+    labels = [[1 + [coords[t] for t in uni.element_json(m)].count(i) for i in range(1, q + 1)]
+              for m in uni.elements]
+    return EdgeColoring(k=2, q=q, N=uni.size, colors=colors, labels=labels,
                         meta={"family": "graph", "params": {"q": q, "n": n}})
 
 
@@ -409,12 +414,10 @@ def _iterated_delta(k: int, box: tuple[int, ...], wm) -> tuple[Universe, array]:
     colors of the complete k-uniform hypergraph on its elements.
 
     The build tabulates delta, as an index one level down, at every level:
-    the top level's ascending pairs, every ordered pair of levels k-1 down
-    to 3 (a reduced chain need not ascend), and the first rising coordinate
-    of every ordered pair of grid points.  In universe order, delta of an
-    ascending pair is where the two first differ: the first differing
-    coordinate of points, the lowest set bit of ``u ^ v`` for masks.  So
-    the top table is ``_first_differences``.
+    the top level's ascending pairs, then every ordered pair of levels k-1
+    down to the grid (a reduced chain need not ascend).  In universe order,
+    delta of an ascending pair is where the two first differ, the lowest
+    set bit of ``u ^ v``, so the top table is ``_first_differences``.
 
     Then it reduces all edges together, one vertex count at a time.  H_j
     holds, per j-subset in colex order, what j - 1 reductions leave of its
@@ -422,40 +425,39 @@ def _iterated_delta(k: int, box: tuple[int, ...], wm) -> tuple[Universe, array]:
     chain of a (j+1)-subset (a,) + b reduces to delta of what its front
     (a,) + b[:-1] and its back b reduce to, so the block of H_{j+1} with
     back b is the block of fronts in H_j, each looked up in the column of
-    H_j[b] (see ``_level_step``).  The last table looked up in is the rising
-    coordinates, so H_k is the colors.  At k = 2 the first differing
-    coordinate, counted from 1, is the color and H_2 is the colors.
+    H_j[b] (see ``_level_step``).  H_k holds a threshold per edge, and the
+    threshold's coordinate is its color.
 
     Units: those of ``build_universe``, then one per edge, one per entry of
-    H_2, ..., H_{k-1} and one per delta table cell, each paid first; at
-    k = 2 the edges and table are paid before the grid's points exist.
+    H_2, ..., H_{k-1} and one per delta table cell, each paid first.  No
+    level is smaller than the grid, so the edges and level tables are paid
+    at the grid's size before any level is built, and the rest once the
+    top level's size is known.
     """
-    if k == 2:
-        wm.charge(2 * comb(box_size(box), 2))
+    def tables(big):  # the edges, then H_2, ..., H_{k-1}
+        return comb(big, k) + comb(big, 2) + sum(comb(big, j) for j in range(3, k))
+
+    paid = tables(box_size(box))
+    wm.charge(paid)
     uni = build_universe(k, box, budget=wm)
     els = uni.elements
     big = len(els)
-    lookups = []  # delta at levels k-1 down to 3, then the rising coordinates
-    if k == 2:
-        ups = _first_differences([list(map(ne, u, v)).index(True) + 1 for u, v in zip(els, els[1:])])
-    else:
-        wm.charge(sum(comb(big, j) for j in range(2, k + 1)))
-        ups = _first_differences([(x & -x).bit_length() - 1 for x in map(xor, els, els[1:])])
-        level = uni.parent
-        while level.k > 2:
-            lookups.append(_delta_columns(level, wm))
-            level = level.parent
-        # color 0 where no coordinate rises, and for an undefined index
-        points = level.elements
-        wm.charge(len(points) ** 2)
-        lookups.append([
-            [next((t for t, (a, b) in enumerate(zip(x, y), 1) if a < b), 0) for x in points] + [0]
-            for y in points
-        ] + [[0] * (len(points) + 1)])
+    wm.charge(tables(big) - paid)
+    ups = _first_differences([(x & -x).bit_length() - 1 for x in map(xor, els, els[1:])])
+    lookups = []  # delta at levels k-1 down to 2
+    level = uni.parent
+    while level.parent is not None:
+        lookups.append(_delta_columns(level, wm))
+        level = level.parent
     table = list(chain.from_iterable(ups))
     for j, cols in enumerate(lookups, 2):
         table = _level_step(big, j, table, cols)
-    colors = array("B", table)
+    # a threshold's coordinate, and color 0 for an undefined index
+    coords = level.elements + (0,)
+    try:
+        colors = array("B", bytes(table).translate(bytes(coords[:256]).ljust(256, b"\0")))
+    except ValueError:  # an index outside 0..255
+        colors = array("B", map(coords.__getitem__, table))
     if b"\0" in colors.tobytes():
         raise AssertionError("delta chain lost non-containment; no rising coordinate")
     return uni, colors

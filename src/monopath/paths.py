@@ -57,12 +57,12 @@ from dataclasses import dataclass, field
 from functools import reduce
 from itertools import islice
 from math import comb
-from operator import or_
+from operator import and_, or_
 
 from .budget import meter
 from .colorings import EdgeColoring
 from .subsets import colex_rank, colex_unrank, colex_walk, window_runs
-from .universes import _masks_below, _points_below
+from .universes import _masks_below
 
 
 @dataclass(frozen=True)
@@ -251,6 +251,23 @@ def _grid_point(index: int, n: int, q: int) -> tuple[int, ...]:
         index, digit = divmod(index, n)
         point.append(digit + 1)
     return tuple(reversed(point))
+
+
+def _points_below(points) -> list[int]:
+    """Per point, the bitset of the earlier points below it coordinatewise:
+    the AND, over its coordinates, of the points whose coordinate there is
+    at most its own."""
+    at_most = []
+    for column in zip(*points):
+        upto: dict[int, int] = {}
+        for i, x in enumerate(column):
+            upto[x] = upto.get(x, 0) | 1 << i
+        below = 0
+        for x in sorted(upto):
+            below = upto[x] = below | upto[x]
+        at_most.append(upto)
+    return [reduce(and_, map(dict.__getitem__, at_most, p)) & (1 << i) - 1
+            for i, p in enumerate(points)]
 
 
 def _label_levels(

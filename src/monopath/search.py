@@ -35,7 +35,7 @@ from copy import deepcopy
 from dataclasses import dataclass, replace
 from math import comb
 
-from .budget import default_budget, recall, remember
+from .budget import BudgetExceeded, WorkMeter, default_budget, recall, remember
 from .colorings import EdgeColoring
 from .paths import longest_mono
 from .subsets import window_runs
@@ -49,7 +49,8 @@ class SearchBudget:
     def __post_init__(self) -> None:
         if self.max_nodes <= 0:
             raise ValueError("max_nodes must be positive")
-        if self.max_seconds is not None and self.max_seconds <= 0:
+        # not > 0 is also true of NaN, which no deadline compares to
+        if self.max_seconds is not None and not self.max_seconds > 0:
             raise ValueError("max_seconds must be positive")
 
 
@@ -83,10 +84,12 @@ class _SearchStop(Exception):
 
 
 class _Meter:
-    """Shared node counter with periodic wall-clock checks."""
+    """Shared node counter with periodic wall-clock checks; ``verified`` is
+    the most units a re-verify took."""
 
     def __init__(self, budget: SearchBudget):
         self.nodes = 0
+        self.verified = 0
         self.max_nodes = budget.max_nodes
         self.deadline = (
             None if budget.max_seconds is None else time.monotonic() + budget.max_seconds
@@ -244,11 +247,7 @@ def _engine_dp(big: int, k: int, q: int, n: int, mt: _Meter) -> array | None:
 
 
 def _level_sat(big: int, k: int, q: int, n: int, mt: _Meter) -> EdgeColoring | None:
-    raw = (
-        _engine_disequality(big, k, q, mt)
-        if n == 2
-        else _engine_dp(big, k, q, n, mt)
-    )
+    raw = _engine_disequality(big, k, q, mt) if n == 2 else _engine_dp(big, k, q, n, mt)
     if raw is None:
         return None
     found = EdgeColoring(
@@ -258,7 +257,14 @@ def _level_sat(big: int, k: int, q: int, n: int, mt: _Meter) -> EdgeColoring | N
         colors=raw,
         meta={"family": "search-extremal", "params": {"k": k, "q": q, "n": n}},
     )
-    scan = longest_mono(found, want_witnesses=False)
+    # re-verified within the request's node cap, on a meter of its own
+    wm = WorkMeter(mt.max_nodes)
+    try:
+        scan = longest_mono(found, want_witnesses=False, budget=wm)
+    except BudgetExceeded:
+        raise _SearchStop from None
+    finally:
+        mt.verified = max(mt.verified, wm.used)
     if scan.overall_max >= n:
         raise AssertionError("search produced a coloring the DP rejects")
     return found
@@ -278,9 +284,11 @@ def exact_ramsey(
     attempted (None: keep going until refutation or budget).
 
     Without ``max_seconds`` the search is deterministic, and its results are
-    kept in the process-wide memo of :mod:`monopath.budget` with their node
-    counts as the cost: an exact or lower-bound result is replayed for any
-    ``max_nodes`` at least its node count, an exhausted one only for the same
+    kept in the process-wide memo of :mod:`monopath.budget`.  The cost of a
+    result is its node count, or the units of its largest re-verify where
+    those are more, since each satisfiable level is re-verified on a meter
+    of ``max_nodes`` units: an exact or lower-bound result is replayed for
+    any ``max_nodes`` at least its cost, an exhausted one only for the same
     ``max_nodes``.  A replayed result reports its own ``seconds`` and a fresh
     copy of the extremal coloring.
     """
@@ -290,12 +298,12 @@ def exact_ramsey(
         budget = SearchBudget(max_nodes=default_budget())
     t0 = time.monotonic()
     if budget.max_seconds is not None:
-        return replace(_search(k, q, n, n_max, budget), seconds=time.monotonic() - t0)
+        return replace(_search(k, q, n, n_max, budget)[0], seconds=time.monotonic() - t0)
     key = ("exact_ramsey", k, q, n, n_max)
     hit = recall(key, budget.max_nodes)
     if hit is None:
-        res = _search(k, q, n, n_max, budget)
-        remember(key, budget.max_nodes, res, res.nodes)
+        res, cost = _search(k, q, n, n_max, budget)
+        remember(key, budget.max_nodes, res, cost)
     else:
         res = hit[0]
     return replace(res, extremal=deepcopy(res.extremal), seconds=time.monotonic() - t0)
@@ -303,40 +311,24 @@ def exact_ramsey(
 
 def _search(
     k: int, q: int, n: int, n_max: int | None, budget: SearchBudget
-) -> RamseyResult:
-    """The level-by-level search of ``exact_ramsey``; ``seconds`` is left 0."""
+) -> tuple[RamseyResult, int]:
+    """The level-by-level search of ``exact_ramsey``, ``seconds`` left 0,
+    and its cost, the least ``max_nodes`` that repeats it."""
     mt = _Meter(budget)
     best: EdgeColoring | None = None
-    start = n + k - 2
-    level = start
+    level = n + k - 2
+    status, value = "lower_bound_only", None
     try:
         while n_max is None or level <= n_max:
             found = _level_sat(level, k, q, n, mt)
             if found is None:
-                return RamseyResult(
-                    status="exact",
-                    value=level,
-                    lower_bound=level,
-                    extremal=best,
-                    nodes=mt.nodes,
-                    seconds=0.0,
-                )
+                status, value = "exact", level
+                break
             best = found
             level += 1
-        return RamseyResult(
-            status="lower_bound_only",
-            value=None,
-            lower_bound=level,
-            extremal=best,
-            nodes=mt.nodes,
-            seconds=0.0,
-        )
     except _SearchStop:
-        return RamseyResult(
-            status="budget_exhausted",
-            value=None,
-            lower_bound=level if best is not None else start,
-            extremal=best,
-            nodes=mt.nodes,
-            seconds=0.0,
-        )
+        # the level that ran out is the first one not finished
+        status = "budget_exhausted"
+    res = RamseyResult(status=status, value=value, lower_bound=level, extremal=best,
+                       nodes=mt.nodes, seconds=0.0)
+    return res, max(mt.nodes, mt.verified)

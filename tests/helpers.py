@@ -25,11 +25,13 @@ chain on its own, and ``first_difference_colors`` compares first
 differences edge by edge; ``level_step_colors`` takes one level step of
 the build subset by subset.  ``pairwise_pred_masks`` tests containment
 pair by pair, for ``Universe.pred_masks``, which builds the masks from
-bitsets of whole columns.  ``tuple_transitivity`` is the transitivity scan that
-ranks every window of every tuple, charging a unit per tuple, for the
-bulk-paid scan in :mod:`monopath.colorings`, and ``whole_file_load`` reads
-a coloring file with ``json.load`` alone, for ``EdgeColoring.load``, which
-reads the colors of a saved file as bytes.
+bitsets of whole columns; it and the references above decode grid
+elements to points with ``grid_point`` and compare those coordinatewise,
+where the engine compares threshold masks.  ``tuple_transitivity`` is the
+transitivity scan that ranks every window of every tuple, charging a unit
+per tuple, for the bulk-paid scan in :mod:`monopath.colorings`, and
+``whole_file_load`` reads a coloring file with ``json.load`` alone, for
+``EdgeColoring.load``, which reads the colors of a saved file as bytes.
 """
 
 from __future__ import annotations
@@ -333,10 +335,16 @@ def dict_downset_labels(coloring, n: int, r: int, budget) -> dict:
     while top is not None:
         unis[top.k] = top
         top = top.parent
+    box = (n,) * q
     for j in range(k - 2, r - 1, -1):
         lower = unis[k - j]
-        pmask = [pm | 1 << i for i, pm in enumerate(lower.pred_masks(wm))]
-        index = {el: i for i, el in enumerate(lower.elements)}
+        pred = lower.pred_masks(wm)  # paid as the engine pays for its masks
+        els = lower.elements
+        if lower.k == 2:  # the label vectors are points: decode the grid
+            pred = pairwise_pred_masks(lower, box)
+            els = [grid_point(m, box) for m in els]
+        pmask = [pm | 1 << i for i, pm in enumerate(pred)]
+        index = {el: i for i, el in enumerate(els)}
         level = {}
         for t in combinations(range(1, big), j):
             acc = 0
@@ -423,8 +431,8 @@ def first_difference_colors(q: int, bounds: tuple[int, ...]) -> array:
 
 def delta_chain_colors(k: int, n: int, d: int = 2) -> array:
     """The k-uniform coloring edge by edge: reduce the edge's k structures by
-    ``Universe.delta`` k-2 times, then take the first coordinate where the
-    left grid point is below the right one."""
+    ``Universe.delta`` k-2 times, then decode the two grid points left and
+    take the first coordinate where the left one is below the right one."""
     uni = build_universe(k, (n,) * d)
     els = uni.elements
     colors = array("B")
@@ -434,7 +442,7 @@ def delta_chain_colors(k: int, n: int, d: int = 2) -> array:
         while len(chain) > 2:
             chain = [level.delta(a, b) for a, b in zip(chain, chain[1:])]
             level = level.parent
-        x, y = chain
+        x, y = (grid_point(m, (n,) * d) for m in chain)
         colors.append(next(t + 1 for t in range(d) if x[t] < y[t]))
     return colors
 
@@ -450,16 +458,35 @@ def level_step_colors(big: int, j: int, table: list, cols: list) -> list:
     return [cols[table[rank[s[1:]]]][table[rank[s[:-1]]]] for s in colex(j + 1)]
 
 
-def pairwise_pred_masks(uni) -> list[int]:
-    """Strict-containment predecessor masks of a universe, pair by pair with
-    ``Universe.subset_le``: bit j of element i's mask is set when element
-    j < i is contained in it."""
-    els = uni.elements
+def grid_point(mask: int, box: tuple[int, ...]) -> tuple[int, ...]:
+    """The point of ``box`` a grid element stands for: coordinate i is one
+    more than the set bits in its block, the n_i - 1 bits after those of
+    the coordinates before it."""
+    point = []
+    for side in box:
+        point.append(1 + (mask & (1 << side - 1) - 1).bit_count())
+        mask >>= side - 1
+    return tuple(point)
+
+
+def pairwise_pred_masks(uni, box: tuple[int, ...]) -> list[int]:
+    """Strict-containment predecessor masks of a universe over ``box``, pair
+    by pair: bit j of element i's mask is set when element j < i is
+    contained in it.  Grid elements are decoded and compared coordinatewise,
+    the others compared as sets of their bits."""
+    if uni.k == 2:
+        els = [grid_point(m, box) for m in uni.elements]
+        def le(a, b):
+            return all(x <= y for x, y in zip(a, b))
+    else:
+        els = uni.elements
+        def le(a, b):
+            return a & ~b == 0
     masks = []
     for i, b in enumerate(els):
         pm = 0
         for j in range(i):
-            if uni.subset_le(els[j], b):
+            if le(els[j], b):
                 pm |= 1 << j
         masks.append(pm)
     return masks

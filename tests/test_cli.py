@@ -392,6 +392,22 @@ def test_verify_extremal_file_far_below_its_n(tmp_path, capsys):
     assert code == 0 and rep["certificate"] == "distinct"
 
 
+def test_search_nan_seconds_is_rejected(capsys):
+    # NaN passed the positivity check and then never hit its deadline
+    assert main(["search", "--k", "3", "--q", "2", "--n", "2", "--max-seconds", "nan"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_search_reverifies_within_its_max_nodes(capsys, monkeypatch):
+    # the re-verify once ran on the environment's default budget, not the
+    # request's, and a default of 20 units stopped this search with exit 3
+    monkeypatch.setenv("MONOPATH_BUDGET", "20")
+    code, doc = run_json(capsys, "search", "--k", "3", "--q", "2", "--n", "2",
+                         "--max-nodes", "1000000")
+    assert code == 0
+    assert (doc["status"], doc["value"]) == ("exact", 7)
+
+
 def test_search_max_nodes_zero_is_rejected(capsys):
     # a 0 once counted as "not given" and searched at the default budget
     for nodes in ("0", "-5"):
@@ -648,8 +664,10 @@ BOUNDS_DIGESTS = [
      "31a38c85df3c3484f7026719610068a7b554ffb6acd92527e18c3db36c39e7f6"),
     ("--d-max 3 --n-max 3 --k-max 5 --budget 20000",
      "ac86fe8de5ba8bd3f0f41d6b8a07daccf1404d5de18eb42d8192718fbf521bbb"),
+    # eight k = 4, n = 1 rows fit the 100 units since ideals are no longer
+    # charged for a sort
     ("--d-max 2 --n-max 2 --k-max 6 --budget 100",
-     "da87bc1209acab1e9cb70af39ca59f654546cde3de572f7e2d347ba7359ecac7"),
+     "d0cfb8b92838822620f79c8a9a98c16dcadf58e96fd0f0e7569edec237ea4444"),
     ("--d-max 3 --n-max 3 --k-max 4 --budget 200000 --format table",
      "cf9525a52f4dfb7559898f890d776f2cf0afaf8a157643b99587e762910d8f64"),
 ]

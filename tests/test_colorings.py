@@ -322,9 +322,10 @@ def _iterated_delta_units(k, box) -> int:
     uni = build_universe(k, box, budget=uni_wm)
     big = uni.size
     total = uni_wm.used + comb(big, k) + sum(comb(big, j) for j in range(2, max(k, 3)))
-    sizes = []
+    # the levels k-1 down to 3, then the grid, its points counted from the box
+    sizes = [] if k == 2 else [prod(box)]
     level = uni.parent
-    while level is not None:
+    while level.k > 2:
         sizes.append(level.size)
         level = level.parent
     return total + sum(s * s for s in sizes)

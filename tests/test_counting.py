@@ -272,6 +272,16 @@ def test_order_ideals_random_posets(m, data):
     assert sorted(enumerate_order_ideals(masks, wm)) == brute
 
 
+@given(st.integers(min_value=0, max_value=8), st.data())
+@settings(max_examples=60, deadline=None)
+def test_order_ideals_come_in_universe_order(m, data):
+    # the universe order compares masks by their lowest differing bit, the
+    # mask missing it first: ascending masks with their m bits reversed
+    masks = [data.draw(st.integers(min_value=0, max_value=(1 << i) - 1)) for i in range(m)]
+    ideals = enumerate_order_ideals(masks, WorkMeter(10**6))
+    assert ideals == sorted(ideals, key=lambda x: int(f"{x:0{m}b}"[::-1], 2))
+
+
 # --- sizes of the recursive universes ----------------------------------------
 
 

@@ -16,6 +16,24 @@ def test_budget_validation():
     SearchBudget(max_nodes=10, max_seconds=1.5)
 
 
+def test_budget_rejects_nan_seconds():
+    # NaN compares false with every deadline, so it once meant no limit
+    with pytest.raises(ValueError, match="max_seconds must be positive"):
+        SearchBudget(max_nodes=10, max_seconds=float("nan"))
+
+
+def test_reverify_stays_within_the_node_cap():
+    # the extremal coloring of N = 7 for (4, 2, 2) is re-verified on
+    # C(7, 3) + C(7, 4) = 70 units: 51 nodes finish the search, not that
+    res = exact_ramsey(4, 2, 2, budget=SearchBudget(max_nodes=51))
+    assert (res.status, res.lower_bound, res.nodes) == ("budget_exhausted", 7, 29)
+    assert res.extremal.N == 6
+    # the largest re-verify, N = 8, takes C(8, 3) + C(8, 4) = 126 units
+    assert exact_ramsey(4, 2, 2, budget=SearchBudget(max_nodes=125)).lower_bound == 8
+    res = exact_ramsey(4, 2, 2, budget=SearchBudget(max_nodes=126))
+    assert (res.status, res.value, res.nodes) == ("exact", 9, 51)
+
+
 @pytest.mark.parametrize("k,q,n,value", [
     (2, 1, 3, 4),      # one color: n^1 + 1
     (2, 2, 2, 5),      # 2^2 + 1
@@ -129,7 +147,8 @@ def _without_seconds(res: RamseyResult) -> RamseyResult:
 
 @pytest.mark.parametrize("k,q,n,n_max,cap", [
     (3, 2, 2, None, None),          # exact
-    (4, 2, 2, None, 51),            # exact with exactly its node count
+    (4, 2, 2, None, 51),            # budget_exhausted in a re-verify
+    (4, 2, 2, None, 126),           # exact with exactly its cost
     (3, 2, 2, 6, None),             # lower_bound_only
     (3, 2, 3, None, 60_000),        # budget_exhausted
     (2, 2, 4, None, 5_000),         # budget_exhausted
@@ -161,15 +180,16 @@ def test_search_memo_respects_node_caps(monkeypatch):
     monkeypatch.setattr(search, "_search", counted)
     exact = exact_ramsey(4, 2, 2)
     assert (exact.status, exact.nodes) == ("exact", 51)
-    # any cap that covers the node count replays the exact result
-    assert exact_ramsey(4, 2, 2, budget=SearchBudget(max_nodes=51)).value == 9
+    # any cap that covers the cost, the 51 nodes and the 126 units of the
+    # largest re-verify, replays the exact result
+    assert exact_ramsey(4, 2, 2, budget=SearchBudget(max_nodes=126)).value == 9
     assert len(runs) == 1
     # a smaller cap searches, and its exhausted result replays only for it
-    short = exact_ramsey(4, 2, 2, budget=SearchBudget(max_nodes=50))
-    assert (short.status, short.nodes) == ("budget_exhausted", 51)
-    assert exact_ramsey(4, 2, 2, budget=SearchBudget(max_nodes=50)).nodes == 51
+    short = exact_ramsey(4, 2, 2, budget=SearchBudget(max_nodes=51))
+    assert (short.status, short.nodes) == ("budget_exhausted", 29)
+    assert exact_ramsey(4, 2, 2, budget=SearchBudget(max_nodes=51)).nodes == 29
     assert len(runs) == 2
-    assert exact_ramsey(4, 2, 2, budget=SearchBudget(max_nodes=49)).nodes == 50
+    assert exact_ramsey(4, 2, 2, budget=SearchBudget(max_nodes=50)).nodes == 29
     assert len(runs) == 3
     # the level cap is part of the key
     assert exact_ramsey(4, 2, 2, n_max=7).status == "lower_bound_only"
