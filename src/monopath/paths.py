@@ -32,6 +32,21 @@ to N - 2 edges and groups of many windows, and gain most; the small random
 colorings have no run that long and keep the per-edge step they are
 fastest with.
 
+Before either step, at k >= 3, a window looks its run up in the memo of
+its front group, keyed by the rank f0 of the group's first front: the key
+is the colors of the run, as bytes, and the value the rank of the first
+window with that f0 and run.  A nonempty run fixes its group by f0, so its
+first vertex, its length and the fronts it reads, which are final before
+the group's first window (an empty run, at first vertex 0, gives 0 in every
+color whatever its group).  So windows with equal keys have equal L_c for
+every color, and a hit copies the first one's q values instead of taking a
+step.  The extremal colorings repeat themselves: the 45,760 windows of the
+k = 4, n = 3 one have 2,599 distinct keys.  At k = 2 every window has the
+one front group, from vertex 0, and a run as long as its last vertex, so no
+key repeats and the memo is skipped.  It stores one key per distinct run
+of a group, at most one byte per edge plus about 100 B per entry and a
+small dict per group, and is dropped when the sweep returns.
+
 On top of the DP sits the pigeonhole certificate.  When no color reaches
 length n, the label vector of a window, C(w) = (1 + L_1(w), ..., 1 +
 L_q(w)), lies in the grid [n]^q, and is read off the scan's own forward
@@ -147,6 +162,11 @@ def _sweep(coloring: EdgeColoring, wm) -> list:
     paths of at most 254 edges (a path has at most N - k + 1), and k >= 3,
     where a group's windows share one first vertex, so one run length, and
     its fronts are final before its first window.
+
+    For the same reason, at k >= 3, a window whose group has already met
+    its run (the same color bytes) copies the values of the first window
+    that had it and takes no step: one dict per group, keyed by the run's
+    bytes, holds that window's rank.  The units are the same either way.
     """
     colors = coloring.colors
     wm.charge(len(colors))
@@ -157,16 +177,29 @@ def _sweep(coloring: EdgeColoring, wm) -> list:
     if q > 8 or coloring.k < 3 or not cut <= span < 255:
         cut = span + 1
     else:
-        raw = bytes(colors)
         onehot = bytes([0] + [1 << s for s in range(q)] + [0] * (255 - q))
     groups: dict[int, list] = {}
+    memo = coloring.k >= 3
+    runs_seen: dict[int, dict] = {}
+    raw = bytes(colors)
+    values = tabs[1:]
     w = -1
     for top, blocks in window_runs(coloring.N, coloring.k):
         for f0, m in blocks:
             w += 1
             e0 = top + f0
+            run = raw[e0 : e0 + m]
+            if memo:
+                seen = runs_seen.get(f0)
+                if seen is None:
+                    seen = runs_seen[f0] = {}
+                src = seen.setdefault(run, w)
+                if src != w:
+                    for tab in values:
+                        tab[w] = tab[src]
+                    continue
             if m < cut:
-                for c, f in zip(colors[e0 : e0 + m], range(f0, f0 + m)):
+                for c, f in zip(run, range(f0, f0 + m)):
                     tab = tabs[c]
                     cand = tab[f] + 1
                     if cand > tab[w]:
@@ -176,12 +209,12 @@ def _sweep(coloring: EdgeColoring, wm) -> list:
             if ranked is None:
                 ranked = groups[f0] = [
                     (tab, _value_masks(bytes(tab[f0 : f0 + m]), s))
-                    for s, tab in enumerate(tabs[1:])
+                    for s, tab in enumerate(values)
                 ]
-            run = int.from_bytes(raw[e0 : e0 + m].translate(onehot), "little")
+            bits = int.from_bytes(run.translate(onehot), "little")
             for tab, pairs in ranked:
                 for v, mask in pairs:
-                    if run & mask:
+                    if bits & mask:
                         tab[w] = v
                         break
     return tabs

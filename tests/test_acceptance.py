@@ -93,18 +93,22 @@ def test_ac2_dedekind_cross_check():
     _report(2, ok, "down-sets of [2]^d equal antichain counts, d=2..6", t0, 60.0)
 
 
+def _lower_maxima(q: int, n: int) -> dict[int, int]:
+    """Per-color longest paths of the 3-uniform extremal coloring, which is
+    dropped on return: the largest take a few hundred MB each."""
+    col = color_3uniform_lower(q, n, budget=BIG)
+    return longest_mono(col, want_witnesses=False, budget=BIG).per_color_max
+
+
 def test_ac3_lower_construction_has_no_long_path():
     t0 = time.perf_counter()
     ok = True
-    for q, n in [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2)]:
-        col = color_3uniform_lower(q, n, budget=BIG)
-        scan = longest_mono(col, want_witnesses=False, budget=BIG)
-        ok &= all(v <= n - 1 for v in scan.per_color_max.values())
-    # q=3, n=3 sits on 980 vertices; its edge count fails the 1e7 guard
-    skipped = comb(980, 3)
-    ok &= skipped > 10**7
-    _report(3, ok, f"per-color maxima <= n-1; (3,3) skipped at C(980,3)={skipped}",
-            t0, 300.0)
+    # (2, 6) and (3, 3) sit on 924 and 980 vertices, C(924, 3) and C(980, 3)
+    # edges
+    cases = [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (2, 6), (3, 3)]
+    for q, n in cases:
+        ok &= all(v <= n - 1 for v in _lower_maxima(q, n).values())
+    _report(3, ok, f"per-color maxima <= n-1 for (q, n) in {cases}", t0, 300.0)
 
 
 def test_ac4_upper_direction_at_q2_n2():
@@ -156,7 +160,7 @@ def test_ac7_transitivity_of_constructions():
         ok &= is_transitive(color_graph_lower(2, n)) is True
     for q, n in [(2, 2), (2, 3), (3, 2)]:
         ok &= is_transitive(color_3uniform_lower(q, n)) is True
-    # (3,3) skipped: building the coloring already takes C(980,3) edges
+    # (3,3) skipped: its scan would visit the C(980,4) vertex quadruples
     res = is_transitive(color_kuniform_lower(4, 2))
     if res is True:
         fourth = "order-4 scan: transitive"
@@ -164,7 +168,7 @@ def test_ac7_transitivity_of_constructions():
         ok &= check_transitivity_witness(color_kuniform_lower(4, 2), res)
         fourth = f"order-4 scan: witness {res} checked"
     _report(7, ok, f"graph n<=4 and 3-uniform (2,2),(2,3),(3,2) transitive; {fourth}; "
-            "(3,3) skipped at C(980,3) edges", t0, 60.0)
+            "(3,3) skipped at C(980,4) tuples", t0, 60.0)
 
 
 def test_ac8_dp_equals_exhaustive_on_all_small_colorings():

@@ -318,6 +318,20 @@ def test_transitive_scan_runs_out_fast(tmp_path, capsys):
         "budget exhausted: transitivity scan: exceeded work budget of 1000000 units\n")
 
 
+def test_verify_extremal_file_at_its_exact_units(tmp_path, capsys):
+    # 31,626 windows + 2,635,500 edges + 42 candidate fronts of the witness
+    # steps: the sweep bills every window and edge, repeated runs or not
+    path = str(tmp_path / "c.json")
+    assert main(["construct", "--family", "3uniform", "--q", "2", "--n", "5", "--out", path]) == 0
+    capsys.readouterr()
+    argv = ["verify", "--file", path, "--n", "5", "--budget"]
+    code, rep = run_json(capsys, *argv, "2667168")
+    assert code == 0 and rep["certificate"] == "distinct"
+    assert main(argv + ["2667167"]) == 3
+    assert capsys.readouterr().err == (
+        "budget exhausted: path DP on 2635500 edges: exceeded work budget of 2667167 units\n")
+
+
 def _all_one_coloring(path, k, n_vertices):
     path.write_text(json.dumps({"k": k, "q": 1, "N": n_vertices, "encoding": "colex-rank-array",
                                 "colors": [1] * comb(n_vertices, k)}))

@@ -18,7 +18,7 @@ from monopath.colorings import (
     color_kuniform_lower,
     random_coloring,
 )
-from monopath.subsets import colex_rank
+from monopath.subsets import colex_rank, colex_walk
 from monopath.paths import (
     Certificate,
     MonotonePath,
@@ -401,6 +401,60 @@ def test_collision_walk_rebuilds_first_predecessor_path(k, q, N, seed):
         assert path.vertices == dict_pred_path(col, t)
         assert path.color == col.color_of(t)
         assert validate_path(col, path)
+
+
+# --- repeated runs against the dict reference -------------------------------
+
+
+def _forward_matches_reference(col):
+    """Maxima, witnesses, units and the whole forward tables, window by
+    window, against the dict-of-tuples DP."""
+    wm, ref_wm = WorkMeter(10**9), WorkMeter(10**9)
+    scan = longest_mono(col, budget=wm)
+    maxima, wits = dict_longest_mono(col, ref_wm)
+    assert scan.per_color_max == maxima
+    assert _witness_vertices(scan) == wits
+    assert wm.used == ref_wm.used
+    want = [None] * comb(col.N, col.k - 1)
+    for w, vector in dict_label_vectors(col, WorkMeter(10**9)).items():
+        want[colex_rank(w)] = vector
+    assert [tuple(v + 1 for v in vals) for vals in zip(*scan.forward[1:])] == want
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: color_kuniform_lower(4, 3), id="kuniform-k4-n3"),
+    pytest.param(lambda: color_3uniform_lower(2, 4), id="3uniform-q2-n4"),
+])
+def test_extremal_forward_tables_match_dict_reference(make):
+    # most windows of these colorings repeat a run their front group has met
+    _forward_matches_reference(make())
+
+
+@st.composite
+def repeating_colorings(draw):
+    """Low-entropy colorings: the edge (a, b, ...) has color f(a mod 2, b - a)
+    for a random f, a few edges flipped or none, or nearly every edge has
+    color 1.  Runs then repeat within a front group, and at k >= 4 across
+    the groups of one first vertex, whose fronts differ."""
+    k = draw(st.sampled_from([3, 4, 5]))
+    q = draw(st.integers(min_value=1, max_value=4))
+    big = draw(st.integers(min_value=0, max_value=WIDEST[k]))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    if draw(st.booleans()):
+        f = {(p, d): rng.randint(1, q) for p in (0, 1) for d in range(1, big)}
+        flip = draw(st.sampled_from([0.0, 0.02]))
+        colors = array("B", (rng.randint(1, q) if rng.random() < flip else f[e[0] % 2, e[1] - e[0]]
+                             for e in colex_walk(big, k)))
+    else:
+        colors = array("B", (1 if rng.random() < 0.97 else rng.randint(1, q)
+                             for _ in range(comb(big, k))))
+    return EdgeColoring(k=k, q=q, N=big, colors=colors)
+
+
+@given(repeating_colorings())
+@settings(max_examples=40, deadline=None)
+def test_repeated_runs_match_dict_reference(col):
+    _forward_matches_reference(col)
 
 
 # --- extremal colorings meet their bound exactly --------------------------------
