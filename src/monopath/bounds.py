@@ -23,11 +23,12 @@ bounds, the 3-uniform Ramsey sandwich, the rho recursion in both forms, the
 tower transform and its two-step variant, and the tower-difference rule.
 It is one table of checks, each a list of (name, statement) pairs, a grid
 of params, a rule that returns the sides of its rows and the note a budget
-miss leaves, run in order by one loop.  Its counts draw on one pot of work
-units, and once a run has spent twice its budget every further count is a
-miss.  Verdicts are PASS/FAIL (exact or outward-rounded), SKIPPED (a side
-is not desk-computable or exceeds the work budget), or INFO (asymptotic
-rates reported, never judged).
+miss leaves, run in order by one loop.  Its counts and the square roots of
+its tower intervals draw on one pot of work units, and once a run has spent
+twice its budget every further count is a miss.  Verdicts are PASS/FAIL
+(exact or outward-rounded), SKIPPED (a side is not desk-computable or
+exceeds the work budget), or INFO (asymptotic rates reported, never
+judged).
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from fractions import Fraction
 from itertools import product
 from math import comb, isqrt, log2
 
-from .budget import MEMO, BudgetExceeded, WorkMeter, default_budget
+from .budget import BudgetExceeded, WorkMeter, default_budget, memoized, meter
 from .counting import count_box_partitions, count_rho, middle_max
 
 _MAX_BITS = 1 << 23  # materialization guard for exact powers of two
@@ -194,23 +195,24 @@ class _Unbounded(Exception):
     """An interval endpoint left the materialization guard."""
 
 
-def _pow2_root(p: int, s: int) -> int:
+def _pow2_root(p: int, s: int, wm: WorkMeter) -> int:
     """s nested integer square roots of 2^p, kept in the process-wide memo.
 
     The interval endpoints below spend nearly all their time here, on p of
     about t * 2^s bits, while the root has only about t bits to keep.
+    Units: one per 64-bit word of 2^p, p // 64 + 1, paid before the roots.
     """
-    key = ("pow2_root", p, s)
-    x = MEMO.get(key)
-    if x is None:
+    def roots():
+        wm.prepay(p // 64 + 1)
         x = 1 << p
         for _ in range(s):
             x = isqrt(x)
-        MEMO.put(key, x)
-    return x
+        return x
+
+    return memoized(("pow2_root", p, s), wm, roots)
 
 
-def _pow2_bound(e: Fraction, s: int, t: int, up: bool) -> Fraction:
+def _pow2_bound(e: Fraction, s: int, t: int, up: bool, wm: WorkMeter) -> Fraction:
     """Rational r with r <= 2^e, or 2^e <= r when ``up``; exact for integer e.
 
     The fractional part f of e is rounded to s dyadic bits, and 2^f to t
@@ -223,20 +225,22 @@ def _pow2_bound(e: Fraction, s: int, t: int, up: bool) -> Fraction:
     if f:
         num = f.numerator << s
         u = -(-num // f.denominator) if up else num // f.denominator
-        r = Fraction(_pow2_root(u + (t << s), s) + (1 if up else 0), 1 << t)
+        r = Fraction(_pow2_root(u + (t << s), s, wm) + (1 if up else 0), 1 << t)
     return r * (1 << m) if m >= 0 else r / (1 << -m)
 
 
 def tower_bounds(
-    ts: TowerScalar, s: int = 12, t: int = 48
+    ts: TowerScalar, s: int = 12, t: int = 48, *, budget: int | WorkMeter | None = None
 ) -> tuple[Fraction, Fraction]:
     """Outward rational bounds lo <= t_h(top) <= hi.
 
-    Raises _Unbounded when an endpoint would exceed the bit guard.
+    Raises _Unbounded when an endpoint would exceed the bit guard.  Units:
+    those of the square roots of ``_pow2_root``.
     """
+    wm = meter(budget, f"tower bounds at height {ts.height}")
     lo = hi = ts.top
     for _ in range(ts.height - 1):
-        lo, hi = _pow2_bound(lo, s, t, up=False), _pow2_bound(hi, s, t, up=True)
+        lo, hi = _pow2_bound(lo, s, t, False, wm), _pow2_bound(hi, s, t, True, wm)
     return lo, hi
 
 
@@ -301,14 +305,16 @@ def run_inequality_suite(
     the pot, but no more than an eighth of the budget, and no less than a
     two-hundredth of it, so trivial values still appear after heavy counts
     have drained the pot; once the run has spent twice its budget, every
-    further count is a miss.  Results, budget misses included, are cached,
-    so rows sharing a value never pay for it twice.
+    further count is a miss.  A tower-difference row whose values do not
+    materialize is such a cell too: its intervals pay for their square
+    roots.  Results, budget misses included, are cached, so rows sharing a
+    value never pay for it twice.
 
     That per-run cache is an accounting rule: a value several rows share is
     charged to the pot once per run, and every run starts with a full pot.
     The process-wide memo of :mod:`monopath.budget` is a different thing:
     the counts and the tower endpoints a run needs may come from it, but a
-    count from it charges its cell the units it took, and a miss replays only
+    value from it charges its cell the units it took, and a miss replays only
     for the room it missed in, so every run of the same suite charges the
     pot the same units and returns the same rows.
     """
@@ -402,9 +408,13 @@ def run_inequality_suite(
         return [dict(lhs=_fmt_int(nk), rhs=_fmt_int(rhs), verdict=_verdict(nk <= rhs))]
 
     def tower_difference(k, a, b):
-        c = Fraction(a) - Fraction(1, 1 << (k - 2))
-        ok = _tower_difference_holds(k, Fraction(a), Fraction(b), c)
-        return [dict(lhs=f"t_{k}({a}) - t_{k}({b})", rhs=f"t_{k}({_fmt_fraction(c)})",
+        tops = Fraction(a), Fraction(b), Fraction(a) - Fraction(1, 1 << (k - 2))
+        exact = [_materialize(k, v, _MAX_BITS) for v in tops]
+        if None in exact:  # outward intervals, whose square roots draw on the pot
+            ok = cell(("T", k, a, b), _tower_difference_holds, k, *tops)
+        else:
+            ok = exact[0] - exact[1] >= exact[2]
+        return [dict(lhs=f"t_{k}({a}) - t_{k}({b})", rhs=f"t_{k}({_fmt_fraction(tops[2])})",
                      verdict=_verdict(ok))]
 
     def rate(n):
@@ -448,7 +458,8 @@ def run_inequality_suite(
         ([("tower-difference",
            "t_k(a) - t_k(b) >= t_k(a - 2^-(k-2)) for a >= max(b+1, 3), b > 0")],
          [{"k": k, "a": a, "b": b} for k in range(2, min(k_max, 4) + 1)
-          for a, b in _TOWER_DIFFERENCE_TOPS], tower_difference, None),
+          for a, b in _TOWER_DIFFERENCE_TOPS], tower_difference,
+         "tower interval exceeds work budget"),
         ([("three-color-rate", "log2(N_3(3,n)-1)/n^2 -> (3/2) log2(27/16) as n grows")],
          _grid(n=ns), rate, None),
         ([("middle-layer-constant", "effective constant M sqrt(d)/n^(d-1) vs 2/3 and sqrt(6/pi)")],
@@ -492,16 +503,19 @@ def _sqrt_weighted_log_ge(x: int, coef: int, root_of: int, target: int) -> bool 
     return None
 
 
-def _tower_difference_holds(k: int, a: Fraction, b: Fraction, c: Fraction) -> bool | None:
-    """t_k(a) - t_k(b) >= t_k(c), by exact values or outward intervals."""
-    exact = [_materialize(k, v, _MAX_BITS) for v in (a, b, c)]
-    if all(e is not None for e in exact):
-        return exact[0] - exact[1] >= exact[2]
+def _tower_difference_holds(
+    k: int, a: Fraction, b: Fraction, c: Fraction, *, budget: int | WorkMeter | None = None
+) -> bool | None:
+    """t_k(a) - t_k(b) >= t_k(c), by outward intervals, finer until one decides.
+
+    Units: those of the intervals' square roots.
+    """
+    wm = meter(budget, f"tower difference at k = {k}")
     for s, t in ((12, 48), (16, 64), (20, 96)):
         try:
-            a_lo, a_hi = tower_bounds(TowerScalar(k, a), s, t)
-            b_lo, b_hi = tower_bounds(TowerScalar(k, b), s, t)
-            c_lo, c_hi = tower_bounds(TowerScalar(k, c), s, t)
+            a_lo, a_hi = tower_bounds(TowerScalar(k, a), s, t, budget=wm)
+            b_lo, b_hi = tower_bounds(TowerScalar(k, b), s, t, budget=wm)
+            c_lo, c_hi = tower_bounds(TowerScalar(k, c), s, t, budget=wm)
         except _Unbounded:
             return None
         if a_lo - b_hi >= c_hi:

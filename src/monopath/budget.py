@@ -11,8 +11,7 @@ The deterministic engines (the frontier DP behind partition counts, Dedekind
 numbers and rho_3, and the exact Ramsey search without a time limit) keep
 their results in :data:`MEMO`, one bounded store per process that drops the
 least recently used entry once it holds ``MEMO_ENTRIES``; the inequality
-suite keeps the unmetered square-root chains of its tower endpoints there
-too.  A repeat is indistinguishable from a fresh computation, because the
+suite keeps the square-root chains of its tower endpoints there too.  A repeat is indistinguishable from a fresh computation, because the
 store replays the budget accounting unit for unit.  Each result is kept
 with its cost, the units (or search nodes) it took, and the room the caller
 had, ``limit - used`` on entry:

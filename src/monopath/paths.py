@@ -19,33 +19,23 @@ color; from the least-ranked window holding the color's maximum that walk
 returns the colex-least longest path, the one whose reversed vertex
 sequence is least.
 
-A sweep takes a window's run of incoming edges in one of two steps.  The
-per-edge step reads one front value per edge.  The mask step takes the run
-whole: its colors become one int, a byte per edge, and the windows b that
-share the fronts of the run (those with the same b[:-1], the front group)
-share, per color, one mask of the fronts of each value.  The
-highest-valued mask the run's color-c edges meet gives L_c(b).  The mask
-step pays a fixed cost per window and per group that the per-edge step
-does not, so only runs of at least ``FORWARD_CUT`` edges take it.  That cut
-was measured on the extremal colorings: the 3-uniform ones have runs of up
-to N - 2 edges and groups of many windows, and gain most; the small random
-colorings have no run that long and keep the per-edge step they are
-fastest with.
-
-Before either step, at k >= 3, a window looks its run up in the memo of
-its front group, keyed by the rank f0 of the group's first front: the key
-is the colors of the run, as bytes, and the value the rank of the first
-window with that f0 and run.  A nonempty run fixes its group by f0, so its
-first vertex, its length and the fronts it reads, which are final before
-the group's first window (an empty run, at first vertex 0, gives 0 in every
-color whatever its group).  So windows with equal keys have equal L_c for
-every color, and a hit copies the first one's q values instead of taking a
-step.  The extremal colorings repeat themselves: the 45,760 windows of the
-k = 4, n = 3 one have 2,599 distinct keys.  At k = 2 every window has the
-one front group, from vertex 0, and a run as long as its last vertex, so no
-key repeats and the memo is skipped.  It stores one key per distinct run
-of a group, at most one byte per edge plus about 100 B per entry and a
-small dict per group, and is dropped when the sweep returns.
+A window's incoming edges form one run, which the sweep steps through edge
+by edge, reading one front value per edge.  Before that step, at k >= 3, a
+window looks its run up in the memo of its front group (the windows b with
+the same b[:-1], which share the run's fronts), keyed by the rank f0 of
+the group's first front: the key is the colors of the run, as bytes, and
+the value the rank of the first window with that f0 and run.  A nonempty
+run fixes its group by f0, so its first vertex, its length and the fronts
+it reads, which are final before the group's first window (an empty run,
+at first vertex 0, gives 0 in every color whatever its group).  So windows
+with equal keys have equal L_c for every color, and a hit copies the first
+one's q values instead of taking the step.  The extremal colorings repeat
+themselves: the 45,760 windows of the k = 4, n = 3 one have 2,599 distinct
+keys.  At k = 2 every window has the one front group, from vertex 0, and a
+run as long as its last vertex, so no key repeats and the memo is skipped.
+It stores one key per distinct run of a group, at most one byte per edge
+plus about 100 B per entry and a small dict per group, and is dropped when
+the sweep returns.
 
 On top of the DP sits the pigeonhole certificate.  When no color reaches
 length n, the label vector of a window, C(w) = (1 + L_1(w), ..., 1 +
@@ -72,7 +62,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from itertools import islice
 from math import comb
-from operator import and_, or_
+from operator import or_
 
 from .budget import meter
 from .colorings import EdgeColoring
@@ -130,55 +120,22 @@ class PathScan:
         return max(self.per_color_max.values())
 
 
-# the shortest run of incoming edges that takes the mask step (measured:
-# below it the per-edge step is faster)
-FORWARD_CUT = 16
-
-
-def _value_masks(values: bytes, shift: int) -> list[tuple[int, int]]:
-    """(v + 1, mask of the i with values[i] == v) per value v, highest first.
-
-    Byte i of a mask stands for position i; the set bit is ``shift``.
-    """
-    return [
-        (v + 1, int.from_bytes(
-            values.translate(bytes(v) + bytes((1 << shift,)) + bytes(255 - v)), "little"))
-        for v in sorted(set(values), reverse=True)
-    ]
-
-
 def _sweep(coloring: EdgeColoring, wm) -> list:
     """L_c per window rank, one flat list per color.
 
     The edges are taken in colex order, so every front value is final before
     it is read.  One unit per edge.
 
-    A run shorter than the cut steps edge by edge; a longer one takes the
-    mask step (see the module docstring).  The run becomes one int, whose
-    byte a has bit c - 1 set for the color c of the edge (a,) + b.  The
-    windows that share the fronts of the run, its front group, keyed by the
-    rank of its first front, share one mask per color and value.  Masks hold
-    colors as bits of a byte and values as bytes, so they serve q <= 8 and
-    paths of at most 254 edges (a path has at most N - k + 1), and k >= 3,
-    where a group's windows share one first vertex, so one run length, and
-    its fronts are final before its first window.
-
-    For the same reason, at k >= 3, a window whose group has already met
-    its run (the same color bytes) copies the values of the first window
-    that had it and takes no step: one dict per group, keyed by the run's
-    bytes, holds that window's rank.  The units are the same either way.
+    At k >= 3, a window whose front group has already met its run (the same
+    color bytes) copies the values of the first window that had it; any
+    other window steps edge by edge.  One dict per group, keyed by the
+    run's bytes, holds that window's rank.  The units are the same either
+    way.
     """
     colors = coloring.colors
     wm.charge(len(colors))
     q = coloring.q
     tabs = [None] + [[0] * comb(coloring.N, coloring.k - 1) for _ in range(q)]
-    cut = FORWARD_CUT
-    span = coloring.N - coloring.k + 1  # the longest run and the longest path
-    if q > 8 or coloring.k < 3 or not cut <= span < 255:
-        cut = span + 1
-    else:
-        onehot = bytes([0] + [1 << s for s in range(q)] + [0] * (255 - q))
-    groups: dict[int, list] = {}
     memo = coloring.k >= 3
     runs_seen: dict[int, dict] = {}
     raw = bytes(colors)
@@ -198,25 +155,11 @@ def _sweep(coloring: EdgeColoring, wm) -> list:
                     for tab in values:
                         tab[w] = tab[src]
                     continue
-            if m < cut:
-                for c, f in zip(run, range(f0, f0 + m)):
-                    tab = tabs[c]
-                    cand = tab[f] + 1
-                    if cand > tab[w]:
-                        tab[w] = cand
-                continue
-            ranked = groups.get(f0)
-            if ranked is None:
-                ranked = groups[f0] = [
-                    (tab, _value_masks(bytes(tab[f0 : f0 + m]), s))
-                    for s, tab in enumerate(values)
-                ]
-            bits = int.from_bytes(run.translate(onehot), "little")
-            for tab, pairs in ranked:
-                for v, mask in pairs:
-                    if bits & mask:
-                        tab[w] = v
-                        break
+            for c, f in zip(run, range(f0, f0 + m)):
+                tab = tabs[c]
+                cand = tab[f] + 1
+                if cand > tab[w]:
+                    tab[w] = cand
     return tabs
 
 
@@ -277,30 +220,15 @@ def longest_mono(
     return PathScan(per_color_max=maxima, witnesses=wits, forward=fwd)
 
 
-def _grid_point(index: int, n: int, q: int) -> tuple[int, ...]:
-    """The point of [n]^q at ``index`` in the grid universe's sorted order."""
-    point = []
-    for _ in range(q):
+def _grid_mask(index: int, n: int, q: int) -> int:
+    """The point of [n]^q at ``index`` in lexicographic order, as the mask
+    of its coordinate thresholds that ``universes.build_universe`` gives it:
+    n - 1 bits per coordinate, coordinate 1 lowest, the first p_i - 1 set."""
+    mask = 0
+    for i in reversed(range(q)):  # coordinate q is the last digit
         index, digit = divmod(index, n)
-        point.append(digit + 1)
-    return tuple(reversed(point))
-
-
-def _points_below(points) -> list[int]:
-    """Per point, the bitset of the earlier points below it coordinatewise:
-    the AND, over its coordinates, of the points whose coordinate there is
-    at most its own."""
-    at_most = []
-    for column in zip(*points):
-        upto: dict[int, int] = {}
-        for i, x in enumerate(column):
-            upto[x] = upto.get(x, 0) | 1 << i
-        below = 0
-        for x in sorted(upto):
-            below = upto[x] = below | upto[x]
-        at_most.append(upto)
-    return [reduce(and_, map(dict.__getitem__, at_most, p)) & (1 << i) - 1
-            for i, p in enumerate(points)]
+        mask |= (1 << digit) - 1 << i * (n - 1)
+    return mask
 
 
 def _label_levels(
@@ -328,7 +256,8 @@ def _label_levels(
     order those tuples, over all t in turn, are the level above, one run of
     t[0] after another (t[0] - 1 when the level above leaves out the tuples
     at vertex 0).  Ascending grid ranks and masks extend containment, the
-    order ``_points_below`` and ``_masks_below`` need.
+    order ``_masks_below`` needs; at the grid level it reads each distinct
+    label as its threshold mask, in which containment is product order.
 
     Units: per size j, U(U + 1)/2 for the containment pairs of the U labels
     one size up, and one per (x, t) pair, C(N, j + 1), paid before the level
@@ -348,10 +277,7 @@ def _label_levels(
         at_grid = j == k - 2
         below = sorted(set(upper) if at_grid else {0, *upper})
         wm.prepay(len(below) * (len(below) + 1) // 2 + comb(big, j + 1))
-        if at_grid:
-            pred = _points_below([_grid_point(g, n, q) for g in below])
-        else:
-            pred = _masks_below(below)
+        pred = _masks_below([_grid_mask(g, n, q) for g in below] if at_grid else below)
         ideal = {u: pm | 1 << i for i, (u, pm) in enumerate(zip(below, pred))}
         # below the grid the tuples at vertex 0 are not stored: each run
         # starts from the empty label's ideal instead
@@ -413,19 +339,16 @@ def _extract_collision_path(
     k, q = coloring.k, coloring.q
     wm = meter(budget, "collision walk")
     t = (u, v)
+
+    def label(s):  # grid labels as threshold masks: containment is one test
+        lab = _stored_label(levels, k, s)
+        return _grid_mask(lab, n, q) if len(s) == k - 1 else lab
+
     while len(t) < k:
-        cur = _stored_label(levels, k, t)
-        grid_level = len(t) == k - 1
-        if grid_level:
-            cur = _grid_point(cur, n, q)
+        cur = label(t)
         for x in range(t[0]):
             wm.charge()
-            other = _stored_label(levels, k, (x,) + t[:-1])
-            if grid_level:
-                ok = all(a <= b for a, b in zip(cur, _grid_point(other, n, q)))
-            else:
-                ok = cur & ~other == 0
-            if ok:
+            if cur & ~label((x,) + t[:-1]) == 0:
                 break
         else:
             raise AssertionError("label collision walk found no containment step")

@@ -94,6 +94,8 @@ def _masks_below(masks) -> list[int]:
     """Per mask, the bitset of the earlier masks it contains: those holding
     none of the parent elements it lacks.  ``has[b]`` is the bitset of the
     masks that hold parent element b."""
+    if not masks:
+        return []
     width = max(masks).bit_length() or 1
     # the masks' bits as one string, a row of width digits per mask, read
     # by columns: the column of bit b is every width-th digit from its own

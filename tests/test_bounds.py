@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from monopath import bounds
+from monopath.budget import BudgetExceeded, WorkMeter
 from monopath.bounds import (
     TowerScalar,
     render_rows,
@@ -76,6 +77,20 @@ def test_tower_bounds_sandwich():
     lo, hi = tower_bounds(TowerScalar(2, Fraction(3, 2)))
     assert lo * lo <= 8 <= hi * hi  # brackets 2^(3/2) exactly
     assert hi - lo < Fraction(1, 1000)
+
+
+def test_tower_bounds_pay_for_their_square_roots():
+    # 2^(3/2) to 48 bits: the roots of 2^p, p = 2048 + 48 * 2^12 down and
+    # up, one unit per 64-bit word each, the same again from the memo
+    ts = TowerScalar(2, Fraction(3, 2))
+    for _ in range(2):
+        wm = WorkMeter(10**9)
+        assert tower_bounds(ts, budget=wm) == tower_bounds(ts)
+        assert wm.used == 2 * ((2048 + (48 << 12)) // 64 + 1)
+    wm = WorkMeter(3000)
+    with pytest.raises(BudgetExceeded):
+        tower_bounds(ts, budget=wm)
+    assert wm.used == 3001
 
 
 # --- the inequality suite ---------------------------------------------------------
@@ -157,6 +172,23 @@ def test_suite_spends_at_most_twice_its_budget(monkeypatch):
     rows = run_inequality_suite(d_max=2, n_max=2, k_max=300, budget=total)
     assert rows and spent
     assert sum(spent) <= 2 * total + total // 8 + 1
+
+
+def test_tower_difference_rows_draw_on_the_pot():
+    # the square roots of the tower intervals took no unit, so a budget of 1
+    # still passed every row, after about a second of isqrt
+    rows = run_inequality_suite(d_max=1, n_max=1, k_max=4, budget=1)
+    towers = [r for r in rows if r["name"] == "tower-difference"]
+    assert len(towers) == 18
+    for r in towers:
+        p = r["params"]
+        if p["k"] == 2 and p["a"] in ("3", "4"):  # exact values take no unit
+            assert r["verdict"] == "PASS"
+        else:
+            assert (r["verdict"], r["note"]) == ("SKIPPED", "tower interval exceeds work budget")
+    # a pot that pays for them passes them all
+    rows = run_inequality_suite(d_max=1, n_max=1, k_max=4, budget=500_000)
+    assert {r["verdict"] for r in rows if r["name"] == "tower-difference"} == {"PASS"}
 
 
 def test_render_rows_layout():

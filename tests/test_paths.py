@@ -19,11 +19,12 @@ from monopath.colorings import (
     random_coloring,
 )
 from monopath.subsets import colex_rank, colex_walk
+from monopath.universes import _masks_below, build_universe
 from monopath.paths import (
     Certificate,
     MonotonePath,
     _extract_collision_path,
-    _grid_point,
+    _grid_mask,
     _label_levels,
     _stored_label,
     injectivity_certificate,
@@ -37,6 +38,7 @@ from helpers import (
     dict_label_vectors,
     dict_longest_mono,
     dict_pred_path,
+    grid_point,
     label_order_by_recursion,
 )
 
@@ -163,7 +165,8 @@ def _label_tables(col, n, budget, forward):
     for r in range(1, k):
         tuples = combinations(range(col.N), r)
         if r == k - 1:
-            tables[r] = {t: _grid_point(_stored_label(levels, k, t), n, col.q) for t in tuples}
+            tables[r] = {t: grid_point(_grid_mask(_stored_label(levels, k, t), n, col.q), (n,) * col.q)
+                         for t in tuples}
         else:
             tables[r] = {t: _stored_label(levels, k, t) for t in tuples}
     return tables
@@ -234,9 +237,9 @@ def test_sweep_budget_miss_at_reference_units(make):
         assert wm.used == ref_wm.used
 
 
-# --- mask steps and ranked labels against the dict references --------------
+# --- long runs and ranked labels against the dict references ---------------
 
-# the largest N per k; at k = 3 and 4 runs reach both sides of both cuts
+# the largest N per k: runs of up to N - k + 1 edges, 16 or more at every k
 WIDEST = {2: 40, 3: 30, 4: 26, 5: 20}
 
 
@@ -329,17 +332,22 @@ def _check_against_references(col):
 
 @given(skewed_colorings())
 @settings(max_examples=40, deadline=None)
-def test_mask_steps_and_ranked_labels_match_references(col):
+def test_sweeps_and_ranked_labels_match_references(col):
     _check_against_references(col)
+
+
+# runs of at least this many edges are the long ones: a window's run has
+# N - k + 1 edges at most, and the extremal 3-uniform colorings run that long
+LONG_RUN = 16
 
 
 @st.composite
 def cut_colorings(draw, k):
-    """Random k-uniform colorings, from N < k up to runs past the mask
-    step's cut where C(N, k) stays small, with q = 9 among the color counts
-    (no run takes the mask step then)."""
+    """Random k-uniform colorings, from N < k up to runs of ``LONG_RUN``
+    edges and more where C(N, k) stays small, with q = 9, more colors than
+    bits in a byte, among the color counts."""
     q = draw(st.sampled_from([1, 2, 4, 9]))
-    widest = max(n for n in range(k, k + paths.FORWARD_CUT + 2) if comb(n, k) <= 20000)
+    widest = max(n for n in range(k, k + LONG_RUN + 2) if comb(n, k) <= 20000)
     big = widest if draw(st.booleans()) else draw(st.integers(min_value=0, max_value=widest))
     bias = draw(st.sampled_from([0.0, 0.9]))
     rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
@@ -352,7 +360,8 @@ def cut_colorings(draw, k):
 @given(data=st.data())
 @settings(max_examples=20, deadline=None)
 def test_sweep_matches_dict_reference_on_both_sides_of_the_cut(k, data):
-    # at k = 3, 4 and 5 the widest N has runs of FORWARD_CUT edges and more
+    # the cut is LONG_RUN: at k = 3, 4 and 5 the widest N has runs of
+    # LONG_RUN edges and more
     col = data.draw(cut_colorings(k))
     for want in (True, False):
         wm, ref_wm = WorkMeter(10**9), WorkMeter(10**9)
@@ -366,13 +375,28 @@ def test_sweep_matches_dict_reference_on_both_sides_of_the_cut(k, data):
 
 @pytest.mark.parametrize("k,big", [(2, 300), (3, 120)])
 def test_one_color_values_past_a_byte_match_references(k, big):
-    # the longest path has N - k + 1 edges: 299 at k = 2, 118 at k = 3
+    # the longest path has N - k + 1 edges: 299 at k = 2, values past a
+    # byte, and 118 at k = 3, on runs of up to as many edges
     _check_against_references(EdgeColoring(k=k, q=1, N=big, colors=array("B", [1]) * comb(big, k)))
 
 
 def test_nine_colors_match_references():
-    # more colors than bits in a byte: every run steps edge by edge
+    # more colors than bits in a byte, on runs of up to 22 edges
     _check_against_references(random_coloring(3, 9, 24, seed=5))
+
+
+@pytest.mark.parametrize("n,q", [(1, 3), (2, 3), (3, 2), (4, 3), (257, 1)])
+def test_grid_masks_are_the_grid_universes_elements(n, q):
+    grid = build_universe(2, (n,) * q).elements
+    assert [_grid_mask(i, n, q) for i in range(n**q)] == list(grid)
+
+
+@pytest.mark.parametrize("k,big", [(3, 0), (3, 1), (4, 2), (5, 3)])
+def test_empty_grid_certifies_distinct_labels(k, big):
+    # N < k - 1: no window, so the grid level has no label to compare
+    assert _masks_below([]) == []
+    col = EdgeColoring(k=k, q=2, N=big, colors=array("B"))
+    assert injectivity_certificate(col, 1).status == "distinct"
 
 
 @pytest.mark.parametrize("k,q,N,seed", [(2, 2, 9, 1), (2, 3, 10, 2), (3, 2, 8, 3)])
