@@ -11,10 +11,11 @@ The deterministic engines (the frontier DP behind partition counts, Dedekind
 numbers and rho_3, and the exact Ramsey search without a time limit) keep
 their results in :data:`MEMO`, one bounded store per process that drops the
 least recently used entry once it holds ``MEMO_ENTRIES``; the inequality
-suite keeps the square-root chains of its tower endpoints there too.  A repeat is indistinguishable from a fresh computation, because the
-store replays the budget accounting unit for unit.  Each result is kept
-with its cost, the units (or search nodes) it took, and the room the caller
-had, ``limit - used`` on entry:
+suite keeps the square-root chains of its tower endpoints there too.  A
+repeat is indistinguishable from a fresh computation, because the store
+replays the budget accounting unit for unit.  Each result is kept with its
+cost, the units (or search nodes) it took, and the room the caller had,
+``limit - used`` on entry:
 
 * a result that fit its room is replayed for any later room of at least its
   cost: the cost is charged to the caller's meter and the value returned;

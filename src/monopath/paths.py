@@ -220,15 +220,26 @@ def longest_mono(
     return PathScan(per_color_max=maxima, witnesses=wits, forward=fwd)
 
 
-def _grid_mask(index: int, n: int, q: int) -> int:
-    """The point of [n]^q at ``index`` in lexicographic order, as the mask
-    of its coordinate thresholds that ``universes.build_universe`` gives it:
-    n - 1 bits per coordinate, coordinate 1 lowest, the first p_i - 1 set."""
-    mask = 0
-    for i in reversed(range(q)):  # coordinate q is the last digit
-        index, digit = divmod(index, n)
-        mask |= (1 << digit) - 1 << i * (n - 1)
-    return mask
+def _grid_masks(indices: list, n: int, q: int) -> list[int]:
+    """The points of [n]^q at ``indices`` in lexicographic order, as masks
+    of coordinate thresholds over the values that occur: per coordinate one
+    bit for each of its values in the points but the least, the first r set
+    for the value of rank r.  One mask contains another exactly when its
+    point lies coordinatewise above the other's, and the masks are at most
+    q * (len(indices) - 1) bits wide whatever n is."""
+    points = []
+    for index in indices:
+        digits = []
+        for _ in range(q):  # coordinate q is the last digit
+            index, digit = divmod(index, n)
+            digits.append(digit)
+        points.append(digits)
+    masks, shift = [0] * len(points), 0
+    for column in zip(*points):
+        rank = {x: r for r, x in enumerate(sorted(set(column)))}
+        masks = [m | (1 << rank[x]) - 1 << shift for m, x in zip(masks, column)]
+        shift += len(rank) - 1
+    return masks
 
 
 def _label_levels(
@@ -257,7 +268,8 @@ def _label_levels(
     t[0] after another (t[0] - 1 when the level above leaves out the tuples
     at vertex 0).  Ascending grid ranks and masks extend containment, the
     order ``_masks_below`` needs; at the grid level it reads each distinct
-    label as its threshold mask, in which containment is product order.
+    label as a threshold mask over the coordinate values that occur
+    (``_grid_masks``), so its width does not grow with n.
 
     Units: per size j, U(U + 1)/2 for the containment pairs of the U labels
     one size up, and one per (x, t) pair, C(N, j + 1), paid before the level
@@ -277,7 +289,7 @@ def _label_levels(
         at_grid = j == k - 2
         below = sorted(set(upper) if at_grid else {0, *upper})
         wm.prepay(len(below) * (len(below) + 1) // 2 + comb(big, j + 1))
-        pred = _masks_below([_grid_mask(g, n, q) for g in below] if at_grid else below)
+        pred = _masks_below(_grid_masks(below, n, q) if at_grid else below)
         ideal = {u: pm | 1 << i for i, (u, pm) in enumerate(zip(below, pred))}
         # below the grid the tuples at vertex 0 are not stored: each run
         # starts from the empty label's ideal instead
@@ -339,16 +351,15 @@ def _extract_collision_path(
     k, q = coloring.k, coloring.q
     wm = meter(budget, "collision walk")
     t = (u, v)
-
-    def label(s):  # grid labels as threshold masks: containment is one test
-        lab = _stored_label(levels, k, s)
-        return _grid_mask(lab, n, q) if len(s) == k - 1 else lab
-
     while len(t) < k:
-        cur = label(t)
+        steps = [t] + [(x,) + t[:-1] for x in range(t[0])]
+        labs = [_stored_label(levels, k, s) for s in steps]
+        if len(t) == k - 1:  # grid labels as threshold masks: containment is one test
+            labs = _grid_masks(labs, n, q)
+        cur = labs[0]
         for x in range(t[0]):
             wm.charge()
-            if cur & ~label((x,) + t[:-1]) == 0:
+            if cur & ~labs[x + 1] == 0:
                 break
         else:
             raise AssertionError("label collision walk found no containment step")

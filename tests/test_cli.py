@@ -406,6 +406,26 @@ def test_verify_extremal_file_far_below_its_n(tmp_path, capsys):
     assert code == 0 and rep["certificate"] == "distinct"
 
 
+def test_verify_far_below_a_huge_n_is_as_fast_as_at_a_small_one(tmp_path, capsys):
+    # the labels live in the grid [10^6]^2: their containment masks must be
+    # as wide as the coordinate values that occur, not as n
+    path = str(tmp_path / "c.json")
+    argv = ["construct", "--family", "random", "--k", "3", "--q", "2", "--N", "12",
+            "--seed", "1", "--out", path]
+    assert main(argv) == 0
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        code, rep = run_json(capsys, "verify", "--file", path, "--n", "1000000")
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and rep["certificate"] == "distinct"
+    assert elapsed < 1.0 and peak < 500_000
+
+
 def test_search_nan_seconds_is_rejected(capsys):
     # NaN passed the positivity check and then never hit its deadline
     assert main(["search", "--k", "3", "--q", "2", "--n", "2", "--max-seconds", "nan"]) == 2

@@ -19,12 +19,12 @@ from monopath.colorings import (
     random_coloring,
 )
 from monopath.subsets import colex_rank, colex_walk
-from monopath.universes import _masks_below, build_universe
+from monopath.universes import _masks_below
 from monopath.paths import (
     Certificate,
     MonotonePath,
     _extract_collision_path,
-    _grid_mask,
+    _grid_masks,
     _label_levels,
     _stored_label,
     injectivity_certificate,
@@ -38,7 +38,6 @@ from helpers import (
     dict_label_vectors,
     dict_longest_mono,
     dict_pred_path,
-    grid_point,
     label_order_by_recursion,
 )
 
@@ -156,6 +155,11 @@ def _witness_vertices(scan):
     return {c: (w.vertices if w is not None else None) for c, w in scan.witnesses.items()}
 
 
+def _index_point(index, n, q):
+    """The point of [n]^q at ``index`` in lexicographic order."""
+    return tuple(index // n**i % n + 1 for i in reversed(range(q)))
+
+
 def _label_tables(col, n, budget, forward):
     """The labels of all r-tuples, keyed by r and then by tuple, read off
     the tables of ``_label_levels``: grid points for r = k - 1, masks below."""
@@ -165,8 +169,7 @@ def _label_tables(col, n, budget, forward):
     for r in range(1, k):
         tuples = combinations(range(col.N), r)
         if r == k - 1:
-            tables[r] = {t: grid_point(_grid_mask(_stored_label(levels, k, t), n, col.q), (n,) * col.q)
-                         for t in tuples}
+            tables[r] = {t: _index_point(_stored_label(levels, k, t), n, col.q) for t in tuples}
         else:
             tables[r] = {t: _stored_label(levels, k, t) for t in tuples}
     return tables
@@ -342,7 +345,7 @@ LONG_RUN = 16
 
 
 @st.composite
-def cut_colorings(draw, k):
+def long_run_colorings(draw, k):
     """Random k-uniform colorings, from N < k up to runs of ``LONG_RUN``
     edges and more where C(N, k) stays small, with q = 9, more colors than
     bits in a byte, among the color counts."""
@@ -360,9 +363,9 @@ def cut_colorings(draw, k):
 @given(data=st.data())
 @settings(max_examples=20, deadline=None)
 def test_sweep_matches_dict_reference_on_both_sides_of_the_cut(k, data):
-    # the cut is LONG_RUN: at k = 3, 4 and 5 the widest N has runs of
-    # LONG_RUN edges and more
-    col = data.draw(cut_colorings(k))
+    # the cut is at LONG_RUN edges: short runs at every N, and long runs at
+    # k = 3, 4 and 5 for the widest N
+    col = data.draw(long_run_colorings(k))
     for want in (True, False):
         wm, ref_wm = WorkMeter(10**9), WorkMeter(10**9)
         scan = longest_mono(col, want_witnesses=want, budget=wm)
@@ -385,10 +388,19 @@ def test_nine_colors_match_references():
     _check_against_references(random_coloring(3, 9, 24, seed=5))
 
 
-@pytest.mark.parametrize("n,q", [(1, 3), (2, 3), (3, 2), (4, 3), (257, 1)])
-def test_grid_masks_are_the_grid_universes_elements(n, q):
-    grid = build_universe(2, (n,) * q).elements
-    assert [_grid_mask(i, n, q) for i in range(n**q)] == list(grid)
+@pytest.mark.parametrize("n,q,count", [(1, 3, 1), (3, 2, 9), (4, 3, 64), (257, 1, 257),
+                                       (4, 3, 20), (10**6, 2, 40), (10**6, 5, 40)])
+def test_grid_masks_contain_as_their_points_lie(n, q, count):
+    # containment is product order, over masks as wide as the values that
+    # occur, whatever n is
+    rng = random.Random(n + q)
+    indices = range(count) if count == n**q else {rng.randrange(n**q) for _ in range(count)}
+    masks = _grid_masks(list(indices), n, q)
+    points = [_index_point(i, n, q) for i in indices]
+    assert max(masks).bit_length() <= q * (len(indices) - 1)
+    for a, pa in zip(masks, points):
+        for b, pb in zip(masks, points):
+            assert (a & ~b == 0) == all(x <= y for x, y in zip(pa, pb))
 
 
 @pytest.mark.parametrize("k,big", [(3, 0), (3, 1), (4, 2), (5, 3)])
